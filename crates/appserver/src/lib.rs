@@ -34,7 +34,7 @@
 
 #![warn(missing_docs)]
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use feral_db::Datum;
 use feral_orm::{App, OrmError, Record, Session};
 use rand::rngs::StdRng;
@@ -451,7 +451,7 @@ impl Deployment {
     /// client threads at once.
     pub fn round(&self, requests: Vec<Request>) -> Vec<Response> {
         let n = requests.len();
-        let (reply_tx, reply_rx) = bounded::<(usize, Response)>(n);
+        let (reply_tx, reply_rx) = unbounded::<(usize, Response)>();
         for (index, request) in requests.into_iter().enumerate() {
             feral_hooks::yield_point(feral_hooks::Site::ServerDispatch);
             self.jobs

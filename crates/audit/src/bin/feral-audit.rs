@@ -9,136 +9,81 @@
 //!
 //! `--in` accepts either a bare snapshot (the output of
 //! `AuditSnapshot::to_json`) or a commitbench report whose top-level
-//! `audit` key holds one. This binary hand-rolls its argument parsing:
-//! it cannot use feral-cli, which (transitively) depends on the engine
-//! that depends on this crate.
+//! `audit` key holds one. Exit codes follow the house convention: `1`
+//! when the snapshot carries anomaly cycles (or fails `--validate`),
+//! `2` for usage errors.
 
 use feral_audit::{
     AuditMode, AuditSnapshot, Auditor, ReadRecord, ReadTarget, TxnFootprint, WriteRecord,
 };
-use feral_trace::json::{self, Json};
+use feral_cli::{die, render_help, write_out, Args, EXIT_DEVIATION};
+use feral_trace::json::{self, Json, Layout};
 use std::process::ExitCode;
+
+const TOOL: &str = "feral-audit";
 
 const USAGE: &str = "usage: feral-audit report (--in FILE | --demo) [--prom | --json] \
                      [--out PATH] [--validate] (--help for details)";
 
-/// The house `--help` text. The closing block must stay byte-identical
-/// to `feral_cli::STANDARD_FLAGS` — this binary cannot link feral-cli
-/// (dependency cycle), so the `cli_help` integration test pins it.
-const HELP: &str = "feral-audit — render and validate saved runtime-audit snapshots
-
-Usage:
-  feral-audit report (--in FILE | --demo) [--prom]
-
-Options:
-  --in FILE         a bare snapshot, or a commitbench report embedding one
-  --demo            stage the paper's motivating duplicate-signup race
-  --prom            Prometheus text exposition instead of text/JSON
-
-Standard flags:
-  --json            emit machine-readable JSON
-  --out PATH        write the artifact to PATH instead of stdout
-  --validate        self-validate the artifact and exit nonzero on schema drift
-  --smoke           small fast run for CI gates (subset of --full)
-  --help            this text
-";
+fn help() -> String {
+    render_help(
+        TOOL,
+        "render and validate saved runtime-audit snapshots",
+        "  feral-audit report (--in FILE | --demo) [--prom]\n",
+        "  --in FILE         a bare snapshot, or a commitbench report embedding one\n\
+         \x20 --demo            stage the paper's motivating duplicate-signup race\n\
+         \x20 --prom            Prometheus text exposition instead of text/JSON\n",
+    )
+}
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--help") {
-        print!("{HELP}");
+    let args = Args::from_iter(argv.clone());
+    if args.has("help") {
+        print!("{}", help());
         return ExitCode::SUCCESS;
     }
     if argv.first().map(String::as_str) != Some("report") {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
+        die(TOOL, USAGE);
     }
-    let mut input: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut demo = false;
-    let mut validate = false;
-    let mut format = "text";
-    let mut it = argv[1..].iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--in" => match it.next() {
-                Some(path) => input = Some(path.clone()),
-                None => {
-                    eprintln!("--in needs a file path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match it.next() {
-                Some(path) => out = Some(path.clone()),
-                None => {
-                    eprintln!("--out needs a file path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--demo" => demo = true,
-            "--prom" => format = "prom",
-            "--json" => format = "json",
-            "--validate" => validate = true,
-            "--smoke" => {} // accepted everywhere; this tool has no slow mode
-            other => {
-                eprintln!("unknown argument '{other}'\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let snap = if demo {
+    let snap = if args.has("demo") {
         demo_snapshot()
     } else {
-        let Some(path) = input else {
-            eprintln!("need --in FILE or --demo\n{USAGE}");
-            return ExitCode::FAILURE;
+        let Some(path) = args.get_str("in") else {
+            die(TOOL, &format!("need --in FILE or --demo\n{USAGE}"))
         };
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!("cannot read {path}: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match load_snapshot(&text) {
-            Ok(snap) => snap,
-            Err(err) => {
-                eprintln!("{path}: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|err| die(TOOL, &format!("cannot read {path}: {err}")));
+        load_snapshot(&text).unwrap_or_else(|err| die(TOOL, &format!("{path}: {err}")))
     };
-    if validate {
-        if let Err(err) = feral_audit::validate_audit_json(&snap.to_json()) {
-            eprintln!("feral-audit: snapshot fails the export schema: {err}");
-            return ExitCode::FAILURE;
+    if args.has("validate") {
+        if let Err(err) = AuditSnapshot::from_json(&snap.to_json()) {
+            eprintln!("{TOOL}: snapshot fails the export schema: {err}");
+            return ExitCode::from(EXIT_DEVIATION);
         }
     }
-    let rendered = match format {
-        "prom" => snap.to_prometheus(),
-        "json" => format!("{}\n", snap.to_json()),
-        _ => snap.render_text(),
+    let rendered = if args.has("prom") {
+        snap.to_prometheus()
+    } else if args.has("json") {
+        let framed = Layout::Framed {
+            compact_rows: false,
+        };
+        format!("{}\n", snap.to_json().render(framed))
+    } else {
+        snap.render_text()
     };
-    match out {
-        Some(path) => {
-            if let Err(err) = std::fs::write(&path, &rendered) {
-                eprintln!("feral-audit: cannot write {path}: {err}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("feral-audit: wrote {path}");
-        }
-        None => print!("{rendered}"),
-    }
+    write_out(TOOL, args.get_str("out"), &rendered);
     if snap.cycles > 0 {
-        ExitCode::from(2)
+        ExitCode::from(EXIT_DEVIATION)
     } else {
         ExitCode::SUCCESS
     }
 }
 
-/// Accept a bare snapshot or a commitbench report embedding one under
-/// `audit` (or one per trial under `trials[*].audit` — first match
-/// with cycles wins, else the first).
+/// Accept a bare snapshot, or an artifact embedding snapshots under a
+/// top-level `audit` key or in its rows (`configs[*].audit` in
+/// `BENCH_audit.json`, `ablation[*].audit` in `BENCH_load.json`) — the
+/// first snapshot with cycles wins, else the first.
 fn load_snapshot(text: &str) -> Result<AuditSnapshot, String> {
     let doc = json::parse(text)?;
     if doc.get("mode").is_some() && doc.get("verdicts").is_some() {
@@ -147,20 +92,26 @@ fn load_snapshot(text: &str) -> Result<AuditSnapshot, String> {
     if let Some(audit) = doc.get("audit") {
         return AuditSnapshot::from_json(audit);
     }
-    if let Some(trials) = doc.get("trials").and_then(Json::as_arr) {
-        let snaps: Vec<&Json> = trials.iter().filter_map(|t| t.get("audit")).collect();
-        if let Some(best) = snaps
-            .iter()
-            .find(|a| a.get("cycles").and_then(Json::as_u64).unwrap_or(0) > 0)
-            .or(snaps.first())
-        {
-            return AuditSnapshot::from_json(best);
-        }
+    let Json::Obj(members) = &doc else {
+        return Err("not a JSON object".into());
+    };
+    let snaps: Vec<&Json> = members
+        .iter()
+        .filter_map(|(_, rows)| rows.as_arr())
+        .flatten()
+        .filter_map(|row| row.get("audit").filter(|a| **a != Json::Null))
+        .collect();
+    let cyclic = snaps
+        .iter()
+        .find(|a| a.get("cycles").and_then(Json::as_u64) > Some(0));
+    match cyclic.or(snaps.first()) {
+        Some(best) => AuditSnapshot::from_json(best),
+        None => Err(
+            "no audit snapshot found (expected a bare snapshot, an 'audit' key, \
+                     or rows carrying one)"
+                .into(),
+        ),
     }
-    Err(
-        "no audit snapshot found (expected a bare snapshot, an 'audit' key, or trials[*].audit)"
-            .into(),
-    )
 }
 
 /// Stage the paper's motivating race — two Read Committed signups
@@ -205,4 +156,49 @@ fn demo_snapshot() -> AuditSnapshot {
         sampled_out: false,
     });
     auditor.snapshot()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A document holding `rows` under the top-level array `key`, each
+    /// row's `audit` member set to the given snapshot (or `null`).
+    fn doc(key: &str, rows: &[Option<&AuditSnapshot>]) -> String {
+        let rows = rows
+            .iter()
+            .map(|snap| Json::obj().with("audit", snap.map_or(Json::Null, |s| s.to_json())))
+            .collect();
+        Json::obj()
+            .with("bench", "test")
+            .with(key, Json::Arr(rows))
+            .render(Layout::Compact)
+    }
+
+    #[test]
+    fn snapshots_are_found_in_artifact_rows() {
+        let cyclic = demo_snapshot();
+        let quiet = Auditor::new(AuditMode::Full).snapshot();
+        assert!(cyclic.cycles > 0 && quiet.cycles == 0);
+        let bare = cyclic.to_json().render(Layout::Compact);
+        assert_eq!(load_snapshot(&bare).unwrap(), cyclic);
+        let keyed = Json::obj()
+            .with("audit", quiet.to_json())
+            .render(Layout::Compact);
+        assert_eq!(load_snapshot(&keyed).unwrap(), quiet);
+        // BENCH_audit.json shape: the auditor-off row is null and skipped
+        let configs = doc("configs", &[None, Some(&quiet)]);
+        assert_eq!(load_snapshot(&configs).unwrap(), quiet);
+        // BENCH_load.json shape: a snapshot with cycles beats the first
+        let ablation = doc("ablation", &[Some(&quiet), None, Some(&cyclic)]);
+        assert_eq!(load_snapshot(&ablation).unwrap(), cyclic);
+        let err = load_snapshot(&doc("configs", &[None])).unwrap_err();
+        assert!(err.contains("no audit snapshot found"), "{err}");
+    }
+
+    #[test]
+    fn the_checked_in_audit_artifact_loads() {
+        let text = include_str!("../../../../results/BENCH_audit.json");
+        load_snapshot(text).expect("results/BENCH_audit.json carries a snapshot");
+    }
 }

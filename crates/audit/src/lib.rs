@@ -31,7 +31,7 @@ pub mod graph;
 pub mod report;
 
 pub use graph::{AnomalyVerdict, CellCounters, CycleEdge, EdgeKind, MAX_VERDICTS};
-pub use report::{validate_audit, validate_audit_json, AuditSnapshot, CellAudit};
+pub use report::{AuditSnapshot, CellAudit};
 
 /// How much the runtime auditor captures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,10 +1,10 @@
-//! Export surface: JSON snapshot, Prometheus text, human-readable
-//! rendering, and schema validation for the audit section of
-//! `results/BENCH_audit.json`.
+//! Export surface: JSON snapshot (with its validating decode),
+//! Prometheus text, and human-readable rendering for the audit section
+//! of `results/BENCH_audit.json`.
 
-use crate::graph::AnomalyVerdict;
-use feral_trace::json::{self, escape, Json};
-use feral_trace::report::escape_label;
+use crate::graph::{AnomalyVerdict, CycleEdge, EdgeKind};
+use feral_trace::json::{Json, Node};
+use feral_trace::report::Prometheus;
 
 /// Per plan-cell audit counters in export form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,226 +48,163 @@ pub struct AuditSnapshot {
 }
 
 impl AuditSnapshot {
-    /// Serialise as a JSON object (the `audit` value embedded in
-    /// `BENCH_audit.json` and printed by `feral-audit report`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"mode\": \"{}\",\n", escape(&self.mode)));
-        out.push_str(&format!("  \"footprints\": {},\n", self.footprints));
-        out.push_str(&format!("  \"edges\": {},\n", self.edges));
-        out.push_str(&format!("  \"cycles\": {},\n", self.cycles));
-        out.push_str(&format!("  \"drops\": {},\n", self.drops));
-        out.push_str(&format!("  \"gc_reclaims\": {},\n", self.gc_reclaims));
-        out.push_str(&format!("  \"window_depth\": {},\n", self.window_depth));
-        out.push_str(&format!("  \"window_peak\": {},\n", self.window_peak));
-        out.push_str(&format!("  \"watermark\": {},\n", self.watermark));
-        out.push_str("  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"template\": \"{}\", \"isolation\": \"{}\", \"commits\": {}, \"anomalies\": {}}}",
-                escape(&c.template),
-                escape(&c.isolation),
-                c.commits,
-                c.anomalies
-            ));
-        }
-        out.push_str(if self.cells.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
+    /// The snapshot as a JSON value (the `audit` object embedded in
+    /// `BENCH_audit.json` and printed by `feral-audit report --json`).
+    pub fn to_json(&self) -> Json {
+        let cells = self.cells.iter().map(|c| {
+            Json::obj()
+                .with("template", &c.template)
+                .with("isolation", &c.isolation)
+                .with("commits", c.commits)
+                .with("anomalies", c.anomalies)
         });
-        out.push_str("  \"verdicts\": [");
-        for (i, v) in self.verdicts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            out.push_str(&verdict_json(v));
-        }
-        out.push_str(if self.verdicts.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push('}');
-        out
+        Json::obj()
+            .with("mode", &self.mode)
+            .with("footprints", self.footprints)
+            .with("edges", self.edges)
+            .with("cycles", self.cycles)
+            .with("drops", self.drops)
+            .with("gc_reclaims", self.gc_reclaims)
+            .with("window_depth", self.window_depth)
+            .with("window_peak", self.window_peak)
+            .with("watermark", self.watermark)
+            .with("cells", cells.collect::<Json>())
+            .with(
+                "verdicts",
+                self.verdicts.iter().map(verdict_json).collect::<Json>(),
+            )
     }
 
-    /// Rebuild a snapshot from validated JSON (the inverse of
-    /// [`AuditSnapshot::to_json`]); used by `feral-audit report` to
-    /// render saved snapshots. Call [`validate_audit`] first — this
-    /// assumes the schema already checked out.
+    /// Decode and validate a serialised snapshot. Beyond structure this
+    /// enforces the snapshot's integrity claims: per-cell anomaly
+    /// counts require a matching global cycle count, and every
+    /// verdict's cycle has at least two distinct transactions, at least
+    /// one rw edge, and racing endpoints drawn from the cycle.
     pub fn from_json(doc: &Json) -> Result<AuditSnapshot, String> {
-        validate_audit(doc)?;
-        let u = |key: &str| doc.get(key).and_then(Json::as_u64).unwrap_or(0);
-        let mut cells = Vec::new();
-        for c in doc.get("cells").and_then(Json::as_arr).unwrap_or(&[]) {
-            cells.push(CellAudit {
-                template: c
-                    .get("template")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                isolation: c
-                    .get("isolation")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                commits: c.get("commits").and_then(Json::as_u64).unwrap_or(0),
-                anomalies: c.get("anomalies").and_then(Json::as_u64).unwrap_or(0),
-            });
+        let root = doc.node("audit");
+        let mode = root.get("mode")?;
+        if crate::AuditMode::parse(mode.str()?).is_none() {
+            return Err(mode.error(format_args!("unknown mode '{}'", mode.str()?)));
         }
-        let mut verdicts = Vec::new();
-        for v in doc.get("verdicts").and_then(Json::as_arr).unwrap_or(&[]) {
-            let racing = v.get("racing").and_then(Json::as_arr).unwrap_or(&[]);
-            let mut cycle = Vec::new();
-            for e in v.get("cycle").and_then(Json::as_arr).unwrap_or(&[]) {
-                let kind = match e.get("kind").and_then(Json::as_str) {
-                    Some("wr") => crate::graph::EdgeKind::WriteRead,
-                    Some("ww") => crate::graph::EdgeKind::WriteWrite,
-                    _ => crate::graph::EdgeKind::ReadWrite,
-                };
-                cycle.push(crate::graph::CycleEdge {
-                    from: e.get("from").and_then(Json::as_u64).unwrap_or(0),
-                    to: e.get("to").and_then(Json::as_u64).unwrap_or(0),
-                    kind,
-                });
-            }
-            let strings = |key: &str| -> Vec<String> {
-                v.get(key)
-                    .and_then(Json::as_arr)
-                    .unwrap_or(&[])
-                    .iter()
-                    .filter_map(Json::as_str)
-                    .map(str::to_string)
-                    .collect()
-            };
-            verdicts.push(AnomalyVerdict {
-                cycle,
-                txns: v
-                    .get("txns")
-                    .and_then(Json::as_arr)
-                    .unwrap_or(&[])
-                    .iter()
-                    .filter_map(Json::as_u64)
-                    .collect(),
-                racing: (
-                    racing.first().and_then(Json::as_u64).unwrap_or(0),
-                    racing.get(1).and_then(Json::as_u64).unwrap_or(0),
-                ),
-                templates: strings("templates"),
-                cells: strings("cells"),
-                detected_at: v.get("detected_at").and_then(Json::as_u64).unwrap_or(0),
-            });
-        }
-        Ok(AuditSnapshot {
-            mode: doc
-                .get("mode")
-                .and_then(Json::as_str)
-                .unwrap_or("off")
-                .to_string(),
-            footprints: u("footprints"),
-            edges: u("edges"),
-            cycles: u("cycles"),
-            drops: u("drops"),
-            gc_reclaims: u("gc_reclaims"),
-            window_depth: u("window_depth"),
-            window_peak: u("window_peak"),
-            watermark: u("watermark"),
+        let u = |key: &str| root.get(key)?.u64();
+        let cells = root
+            .get("cells")?
+            .items()?
+            .iter()
+            .map(|c| {
+                Ok(CellAudit {
+                    template: c.get("template")?.str()?.to_string(),
+                    isolation: c.get("isolation")?.str()?.to_string(),
+                    commits: c.get("commits")?.u64()?,
+                    anomalies: c.get("anomalies")?.u64()?,
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let snap = AuditSnapshot {
+            mode: mode.str()?.to_string(),
+            footprints: u("footprints")?,
+            edges: u("edges")?,
+            cycles: u("cycles")?,
+            drops: u("drops")?,
+            gc_reclaims: u("gc_reclaims")?,
+            window_depth: u("window_depth")?,
+            window_peak: u("window_peak")?,
+            watermark: u("watermark")?,
             cells,
-            verdicts,
-        })
+            verdicts: root
+                .get("verdicts")?
+                .items()?
+                .iter()
+                .map(decode_verdict)
+                .collect::<Result<_, _>>()?,
+        };
+        if snap.cells.iter().any(|c| c.anomalies > 0) && snap.cycles == 0 {
+            return Err(root.error("cells carry anomalies but 'cycles' is 0"));
+        }
+        if snap.cycles > 0 && snap.verdicts.is_empty() {
+            return Err(root.error("cycles found but no verdict retained"));
+        }
+        Ok(snap)
     }
 
-    /// Prometheus text exposition of the audit surface, with
-    /// `# HELP`/`# TYPE` headers and escaped label values.
+    /// Prometheus text exposition of the audit surface.
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        let gauge = |out: &mut String, name: &str, help: &str, v: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"
-            ));
-        };
-        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
-            ));
-        };
-        counter(
-            &mut out,
-            "feral_audit_footprints_total",
-            "Committed-transaction footprints ingested by the runtime auditor.",
-            self.footprints,
-        );
-        counter(
-            &mut out,
-            "feral_audit_edges_total",
-            "Dependency edges (wr/ww/rw) observed in the runtime graph.",
-            self.edges,
-        );
-        counter(
-            &mut out,
-            "feral_audit_cycles_total",
-            "Critical anomaly cycles detected in live executions.",
-            self.cycles,
-        );
-        counter(
-            &mut out,
-            "feral_audit_drops_total",
-            "Footprints dropped on audit buffer saturation.",
-            self.drops,
-        );
-        counter(
-            &mut out,
-            "feral_audit_gc_reclaims_total",
-            "Completed transactions reclaimed by watermark GC.",
-            self.gc_reclaims,
-        );
-        gauge(
-            &mut out,
-            "feral_audit_window_depth",
-            "Live transactions in the audit window.",
-            self.window_depth,
-        );
-        gauge(
-            &mut out,
-            "feral_audit_window_peak",
-            "Peak live transactions in the audit window.",
-            self.window_peak,
-        );
-        gauge(
-            &mut out,
-            "feral_audit_watermark",
-            "Current watermark timestamp of the audit GC.",
-            self.watermark,
-        );
-        out.push_str("# HELP feral_audit_cell_commits_total Committed transactions per isolation-plan cell.\n");
-        out.push_str("# TYPE feral_audit_cell_commits_total counter\n");
-        for c in &self.cells {
-            out.push_str(&format!(
-                "feral_audit_cell_commits_total{{template=\"{}\",isolation=\"{}\"}} {}\n",
-                escape_label(&c.template),
-                escape_label(&c.isolation),
-                c.commits
-            ));
+        let mut prom = Prometheus::default();
+        for (name, kind, help, value) in [
+            (
+                "feral_audit_footprints_total",
+                "counter",
+                "Committed-transaction footprints ingested by the runtime auditor.",
+                self.footprints,
+            ),
+            (
+                "feral_audit_edges_total",
+                "counter",
+                "Dependency edges (wr/ww/rw) observed in the runtime graph.",
+                self.edges,
+            ),
+            (
+                "feral_audit_cycles_total",
+                "counter",
+                "Critical anomaly cycles detected in live executions.",
+                self.cycles,
+            ),
+            (
+                "feral_audit_drops_total",
+                "counter",
+                "Footprints dropped on audit buffer saturation.",
+                self.drops,
+            ),
+            (
+                "feral_audit_gc_reclaims_total",
+                "counter",
+                "Completed transactions reclaimed by watermark GC.",
+                self.gc_reclaims,
+            ),
+            (
+                "feral_audit_window_depth",
+                "gauge",
+                "Live transactions in the audit window.",
+                self.window_depth,
+            ),
+            (
+                "feral_audit_window_peak",
+                "gauge",
+                "Peak live transactions in the audit window.",
+                self.window_peak,
+            ),
+            (
+                "feral_audit_watermark",
+                "gauge",
+                "Current watermark timestamp of the audit GC.",
+                self.watermark,
+            ),
+        ] {
+            prom.family(name, kind, help);
+            prom.sample(name, &[], value);
         }
-        out.push_str(
-            "# HELP feral_audit_cell_anomalies_total Anomaly cycles per isolation-plan cell.\n",
-        );
-        out.push_str("# TYPE feral_audit_cell_anomalies_total counter\n");
-        for c in &self.cells {
-            out.push_str(&format!(
-                "feral_audit_cell_anomalies_total{{template=\"{}\",isolation=\"{}\"}} {}\n",
-                escape_label(&c.template),
-                escape_label(&c.isolation),
-                c.anomalies
-            ));
+        for (name, help, value) in [
+            (
+                "feral_audit_cell_commits_total",
+                "Committed transactions per isolation-plan cell.",
+                (|c: &CellAudit| c.commits) as fn(&CellAudit) -> u64,
+            ),
+            (
+                "feral_audit_cell_anomalies_total",
+                "Anomaly cycles per isolation-plan cell.",
+                |c: &CellAudit| c.anomalies,
+            ),
+        ] {
+            prom.family(name, "counter", help);
+            for c in &self.cells {
+                let labels = [
+                    ("template", c.template.as_str()),
+                    ("isolation", &c.isolation),
+                ];
+                prom.sample(name, &labels, value(c));
+            }
         }
-        out
+        prom.finish()
     }
 
     /// Human-readable rendering for `feral-audit report`.
@@ -316,179 +253,89 @@ impl AuditSnapshot {
     }
 }
 
-fn verdict_json(v: &AnomalyVerdict) -> String {
-    let mut out = String::new();
-    out.push('{');
-    out.push_str(&format!("\"detected_at\": {}, ", v.detected_at));
-    out.push_str(&format!("\"racing\": [{}, {}], ", v.racing.0, v.racing.1));
-    out.push_str("\"txns\": [");
-    for (i, t) in v.txns.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&t.to_string());
-    }
-    out.push_str("], \"cycle\": [");
-    for (i, e) in v.cycle.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"from\": {}, \"to\": {}, \"kind\": \"{}\"}}",
-            e.from,
-            e.to,
-            e.kind.name()
-        ));
-    }
-    out.push_str("], \"templates\": [");
-    for (i, t) in v.templates.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\"", escape(t)));
-    }
-    out.push_str("], \"cells\": [");
-    for (i, c) in v.cells.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\"", escape(c)));
-    }
-    out.push_str("]}");
-    out
+fn verdict_json(v: &AnomalyVerdict) -> Json {
+    let cycle = v.cycle.iter().map(|e| {
+        Json::obj()
+            .with("from", e.from)
+            .with("to", e.to)
+            .with("kind", e.kind.name())
+    });
+    Json::obj()
+        .with("detected_at", v.detected_at)
+        .with("racing", vec![v.racing.0, v.racing.1])
+        .with("txns", v.txns.clone())
+        .with("cycle", cycle.collect::<Json>())
+        .with("templates", v.templates.clone())
+        .with("cells", v.cells.clone())
 }
 
-fn require<'j>(obj: &'j Json, key: &str, ctx: &str) -> Result<&'j Json, String> {
-    obj.get(key).ok_or(format!("{ctx}: missing key '{key}'"))
-}
-
-fn require_u64(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    require(obj, key, ctx)?
-        .as_u64()
-        .ok_or(format!("{ctx}: '{key}' is not a non-negative integer"))
-}
-
-/// Schema-check a serialised [`AuditSnapshot`] (an already-parsed JSON
-/// value). Beyond structure this enforces the snapshot's integrity
-/// claims: per-cell anomaly counts require a matching global cycle
-/// count, every verdict's cycle has at least two distinct
-/// transactions, at least one rw edge, and racing endpoints drawn
-/// from the cycle.
-pub fn validate_audit(doc: &Json) -> Result<(), String> {
-    let ctx = "audit";
-    let mode = require(doc, "mode", ctx)?
-        .as_str()
-        .ok_or("audit: 'mode' is not a string")?;
-    if crate::AuditMode::parse(mode).is_none() {
-        return Err(format!("audit: unknown mode '{mode}'"));
+fn decode_verdict(v: &Node) -> Result<AnomalyVerdict, String> {
+    let racing = v.get("racing")?;
+    let [reader, writer] = &racing.items()?[..] else {
+        return Err(racing.error("racing pair must have two txns"));
+    };
+    let mut cycle = Vec::new();
+    for e in v.get("cycle")?.items()? {
+        let kind = e.get("kind")?;
+        cycle.push(CycleEdge {
+            from: e.get("from")?.u64()?,
+            to: e.get("to")?.u64()?,
+            kind: match kind.str()? {
+                "wr" => EdgeKind::WriteRead,
+                "ww" => EdgeKind::WriteWrite,
+                "rw" => EdgeKind::ReadWrite,
+                other => return Err(kind.error(format_args!("unknown edge kind '{other}'"))),
+            },
+        });
     }
-    for key in [
-        "footprints",
-        "edges",
-        "cycles",
-        "drops",
-        "gc_reclaims",
-        "window_depth",
-        "window_peak",
-        "watermark",
-    ] {
-        require_u64(doc, key, ctx)?;
+    let strings = |key: &str| -> Result<Vec<String>, String> {
+        let list = v.get(key)?;
+        let items = list.items()?;
+        if items.is_empty() {
+            return Err(list.error("is empty"));
+        }
+        items.iter().map(|s| s.str().map(str::to_string)).collect()
+    };
+    let verdict = AnomalyVerdict {
+        txns: v
+            .get("txns")?
+            .items()?
+            .iter()
+            .map(Node::u64)
+            .collect::<Result<_, _>>()?,
+        racing: (reader.u64()?, writer.u64()?),
+        templates: strings("templates")?,
+        cells: strings("cells")?,
+        detected_at: v.get("detected_at")?.u64()?,
+        cycle,
+    };
+    if verdict.txns.len() < 2 {
+        return Err(v.error("cycle names fewer than two txns"));
     }
-    let cycles = require_u64(doc, "cycles", ctx)?;
-    let cells = require(doc, "cells", ctx)?
-        .as_arr()
-        .ok_or("audit: 'cells' is not an array")?;
-    let mut cell_anomalies = 0u64;
-    for c in cells {
-        let t = require(c, "template", "audit cell")?
-            .as_str()
-            .ok_or("audit cell: 'template' is not a string")?;
-        require(c, "isolation", &format!("audit cell '{t}'"))?
-            .as_str()
-            .ok_or(format!("audit cell '{t}': 'isolation' is not a string"))?;
-        require_u64(c, "commits", &format!("audit cell '{t}'"))?;
-        cell_anomalies += require_u64(c, "anomalies", &format!("audit cell '{t}'"))?;
-    }
-    if cell_anomalies > 0 && cycles == 0 {
-        return Err("audit: cells carry anomalies but 'cycles' is 0".into());
-    }
-    let verdicts = require(doc, "verdicts", ctx)?
-        .as_arr()
-        .ok_or("audit: 'verdicts' is not an array")?;
-    if cycles > 0 && verdicts.is_empty() {
-        return Err("audit: cycles found but no verdict retained".into());
-    }
-    for (i, v) in verdicts.iter().enumerate() {
-        let vctx = format!("audit verdict #{i}");
-        require_u64(v, "detected_at", &vctx)?;
-        let racing = require(v, "racing", &vctx)?
-            .as_arr()
-            .ok_or(format!("{vctx}: 'racing' is not an array"))?;
-        if racing.len() != 2 {
-            return Err(format!("{vctx}: racing pair must have two txns"));
-        }
-        let txns = require(v, "txns", &vctx)?
-            .as_arr()
-            .ok_or(format!("{vctx}: 'txns' is not an array"))?;
-        let ids: Vec<u64> = txns.iter().filter_map(|t| t.as_u64()).collect();
-        if ids.len() < 2 {
-            return Err(format!("{vctx}: cycle names fewer than two txns"));
-        }
-        for r in racing {
-            let r = r
-                .as_u64()
-                .ok_or(format!("{vctx}: racing txn is not an integer"))?;
-            if !ids.contains(&r) {
-                return Err(format!("{vctx}: racing txn {r} not on the cycle"));
-            }
-        }
-        let cycle = require(v, "cycle", &vctx)?
-            .as_arr()
-            .ok_or(format!("{vctx}: 'cycle' is not an array"))?;
-        if cycle.len() != ids.len() {
-            return Err(format!("{vctx}: cycle edge count != txn count"));
-        }
-        let mut has_rw = false;
-        for e in cycle {
-            require_u64(e, "from", &vctx)?;
-            require_u64(e, "to", &vctx)?;
-            let kind = require(e, "kind", &vctx)?
-                .as_str()
-                .ok_or(format!("{vctx}: edge 'kind' is not a string"))?;
-            if !["wr", "ww", "rw"].contains(&kind) {
-                return Err(format!("{vctx}: unknown edge kind '{kind}'"));
-            }
-            has_rw |= kind == "rw";
-        }
-        if !has_rw {
-            return Err(format!(
-                "{vctx}: cycle has no rw anti-dependency (impossible in this engine)"
-            ));
-        }
-        for key in ["templates", "cells"] {
-            let arr = require(v, key, &vctx)?
-                .as_arr()
-                .ok_or(format!("{vctx}: '{key}' is not an array"))?;
-            if arr.is_empty() {
-                return Err(format!("{vctx}: '{key}' is empty"));
-            }
+    for r in [verdict.racing.0, verdict.racing.1] {
+        if !verdict.txns.contains(&r) {
+            return Err(v.error(format_args!("racing txn {r} not on the cycle")));
         }
     }
-    Ok(())
-}
-
-/// Parse and validate a serialised [`AuditSnapshot`]; returns the
-/// parsed document.
-pub fn validate_audit_json(text: &str) -> Result<Json, String> {
-    let doc = json::parse(text)?;
-    validate_audit(&doc)?;
-    Ok(doc)
+    if verdict.cycle.len() != verdict.txns.len() {
+        return Err(v.error("cycle edge count != txn count"));
+    }
+    if !verdict.cycle.iter().any(|e| e.kind == EdgeKind::ReadWrite) {
+        return Err(v.error("cycle has no rw anti-dependency (impossible in this engine)"));
+    }
+    Ok(verdict)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{CycleEdge, EdgeKind};
+    use feral_trace::json::{parse, Layout};
+
+    /// Serialise, re-parse, and decode: the path every export takes.
+    fn roundtrip(snap: &AuditSnapshot) -> Result<AuditSnapshot, String> {
+        let text = snap.to_json().render(Layout::Compact);
+        AuditSnapshot::from_json(&parse(&text)?)
+    }
 
     fn sample() -> AuditSnapshot {
         AuditSnapshot {
@@ -532,9 +379,7 @@ mod tests {
     #[test]
     fn snapshot_json_roundtrips_through_validation() {
         let snap = sample();
-        let doc = validate_audit_json(&snap.to_json()).expect("valid");
-        assert_eq!(doc.get("cycles").unwrap().as_u64(), Some(1));
-        assert_eq!(doc.get("mode").unwrap().as_str(), Some("full"),);
+        assert_eq!(roundtrip(&snap).expect("valid"), snap);
     }
 
     #[test]
@@ -543,7 +388,7 @@ mod tests {
         for e in &mut snap.verdicts[0].cycle {
             e.kind = EdgeKind::WriteWrite;
         }
-        let err = validate_audit_json(&snap.to_json()).unwrap_err();
+        let err = roundtrip(&snap).unwrap_err();
         assert!(err.contains("no rw"), "{err}");
     }
 
@@ -552,7 +397,7 @@ mod tests {
         let mut snap = sample();
         snap.cycles = 0;
         snap.verdicts.clear();
-        let err = validate_audit_json(&snap.to_json()).unwrap_err();
+        let err = roundtrip(&snap).unwrap_err();
         assert!(err.contains("anomalies"), "{err}");
     }
 
@@ -560,7 +405,7 @@ mod tests {
     fn validation_rejects_offcycle_racing_txn() {
         let mut snap = sample();
         snap.verdicts[0].racing = (3, 99);
-        let err = validate_audit_json(&snap.to_json()).unwrap_err();
+        let err = roundtrip(&snap).unwrap_err();
         assert!(err.contains("not on the cycle"), "{err}");
     }
 

@@ -4,8 +4,8 @@
 //! semantics, and drop accounting under buffer saturation.
 
 use feral_audit::{
-    column_value_hash, AuditMode, Auditor, ReadRecord, ReadTarget, TxnFootprint, WriteRecord,
-    MAX_VERDICTS,
+    column_value_hash, AuditMode, AuditSnapshot, Auditor, ReadRecord, ReadTarget, TxnFootprint,
+    WriteRecord, MAX_VERDICTS,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -85,7 +85,12 @@ fn write_skew_produces_an_anomaly_verdict() {
         vec!["test-template@snapshot-isolation".to_string()]
     );
     // The serialised snapshot round-trips through schema validation.
-    feral_audit::validate_audit_json(&snap.to_json()).expect("snapshot validates");
+    let text = snap.to_json().render(feral_trace::json::Layout::Compact);
+    let doc = feral_trace::json::parse(&text).expect("snapshot parses");
+    assert_eq!(
+        AuditSnapshot::from_json(&doc).expect("snapshot validates"),
+        snap
+    );
 }
 
 /// A serializable-looking history (each txn reads the latest committed

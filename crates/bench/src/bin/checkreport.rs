@@ -1,46 +1,26 @@
 //! Stand-alone artifact checker: `checkreport <report.json>` gates a
-//! `BENCH_table1.json` artifact, `checkreport --audit <bench.json>`
-//! gates a `BENCH_audit.json` artifact, and `checkreport --load
-//! <bench.json>` gates a `BENCH_load.json` artifact, all via
-//! [`feral_bench::checkgate`] — parse, schema-validate, and enforce the
-//! smoke-gate invariants from the outside, independent of the writer's
-//! self-validation. The logic (and its failure-path tests) lives in the
-//! library; this wrapper only maps results onto exit codes.
+//! `BENCH_table1.json` artifact, `checkreport --audit <bench.json>` a
+//! `BENCH_audit.json` artifact, and `checkreport --load <bench.json>` a
+//! `BENCH_load.json` artifact — one row each of
+//! [`feral_bench::checkgate::GATES`]. The gates (and their failure-path
+//! tests) live in the library; this wrapper only maps results onto exit
+//! codes.
 
-use feral_bench::checkgate::{check_audit_bench_file, check_load_bench_file, check_report_file};
+use feral_bench::checkgate::{check_file, GATES};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let audit = args.iter().any(|a| a == "--audit");
-    let load = args.iter().any(|a| a == "--load");
-    let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
+    let flag = args
+        .iter()
+        .find(|a| a.starts_with("--"))
+        .map_or("", String::as_str);
+    let gate = GATES.iter().find(|(f, _)| *f == flag);
+    let (Some(path), Some((_, gate))) = (args.iter().find(|a| !a.starts_with("--")), gate) else {
         eprintln!("checkreport: usage: checkreport [--audit | --load] <report.json>");
         std::process::exit(1);
     };
-    let outcome = if load {
-        check_load_bench_file(path).map(|s| {
-            format!(
-                "{path} OK ({} load cells over {} worker counts, {} ablation configs)",
-                s.cells, s.worker_counts, s.ablation_configs
-            )
-        })
-    } else if audit {
-        check_audit_bench_file(path).map(|s| {
-            format!(
-                "{path} OK ({} auditor configs, sampled {:.3}x off)",
-                s.configs, s.sampled_vs_off
-            )
-        })
-    } else {
-        check_report_file(path).map(|s| {
-            format!(
-                "{path} OK ({} cells, {} witnessed provenance records)",
-                s.cells, s.witnessed
-            )
-        })
-    };
-    match outcome {
-        Ok(msg) => println!("checkreport: {msg}"),
+    match check_file(path, *gate) {
+        Ok(summary) => println!("checkreport: {path} OK ({summary})"),
         Err(msg) => {
             eprintln!("checkreport: {msg}");
             std::process::exit(1);

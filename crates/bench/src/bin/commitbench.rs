@@ -46,6 +46,7 @@ use feral_db::{
 };
 use feral_sdg::matrix::{decide, PairKind};
 use feral_sim::{explore_dpor, DporConfig};
+use feral_trace::json::{Json, Layout};
 use feral_workloads::{KeyChooser, ScrambledZipfian};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,6 +56,10 @@ const TOOL: &str = "commitbench";
 const TABLES: usize = 8;
 const GATE_WORKERS: usize = 8;
 const GATE_RATIO: f64 = 2.0;
+/// The layout of all three artifacts: one row per line.
+const FRAMED: Layout = Layout::Framed {
+    compact_rows: false,
+};
 
 /// One commit-path configuration under test.
 struct PipeCfg {
@@ -336,60 +341,59 @@ fn render_json(
     speedup: f64,
     gates: (bool, bool, bool),
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"bench\": \"commit-pipeline\",\n  \"mode\": \"{mode}\",\n"
-    ));
-    out.push_str(&format!(
-        "  \"tables\": {TABLES},\n  \"commits_per_worker\": {commits},\n  \"runs_per_cell\": {runs},\n"
-    ));
-    out.push_str("  \"throughput\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"config\": \"{}\", \"distribution\": \"{}\", \"isolation\": \"{}\", \
-             \"workers\": {}, \"commits_per_sec\": {:.1}, \"stddev\": {:.1}, \
-             \"wal_flushes\": {}, \"group_commit_batches\": {}, \"commit_shard_conflicts\": {}}}{}\n",
-            c.config,
-            c.dist.name(),
-            c.isolation,
-            c.workers,
-            c.commits_per_sec,
-            c.std,
-            c.wal_flushes,
-            c.group_commit_batches,
-            c.commit_shard_conflicts,
-            if i + 1 < cells.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"speedup_at_gate\": {{\"workers\": {GATE_WORKERS}, \"distribution\": \"uniform\", \
-         \"isolation\": \"read committed\", \"ratio\": {speedup:.2}, \"required\": {GATE_RATIO:.1}}},\n"
-    ));
-    out.push_str("  \"anomalies\": [\n");
-    for (i, a) in anomalies.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"pair\": \"lock-rmw\", \"isolation\": \"{}\", \"sdg_verdict\": \"{}\", \
-             \"sim_witness\": {}, \"acked_increments\": {}, \"final_balance\": {}, \
-             \"lost_updates\": {}, \"agree\": {}}}{}\n",
-            a.isolation,
-            if a.predicted_unsafe { "unsafe" } else { "safe" },
-            a.sim_witness,
-            a.acked,
-            a.final_balance,
-            a.lost(),
-            a.agree(),
-            if i + 1 < anomalies.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
+    let throughput = cells.iter().map(|c| {
+        Json::obj()
+            .with("config", c.config)
+            .with("distribution", c.dist.name())
+            .with("isolation", c.isolation.to_string())
+            .with("workers", c.workers)
+            .with("commits_per_sec", Json::Num(c.commits_per_sec, 1))
+            .with("stddev", Json::Num(c.std, 1))
+            .with("wal_flushes", c.wal_flushes)
+            .with("group_commit_batches", c.group_commit_batches)
+            .with("commit_shard_conflicts", c.commit_shard_conflicts)
+    });
+    let anomaly_rows = anomalies.iter().map(|a| {
+        Json::obj()
+            .with("pair", "lock-rmw")
+            .with("isolation", a.isolation.to_string())
+            .with(
+                "sdg_verdict",
+                if a.predicted_unsafe { "unsafe" } else { "safe" },
+            )
+            .with("sim_witness", a.sim_witness)
+            .with("acked_increments", a.acked)
+            .with("final_balance", a.final_balance)
+            .with("lost_updates", a.lost())
+            .with("agree", a.agree())
+    });
     let (speed_ok, verdict_ok, safe_ok) = gates;
-    out.push_str(&format!(
-        "  \"gates\": {{\"speedup\": {speed_ok}, \"verdict_agreement\": {verdict_ok}, \
-         \"safe_cells_clean\": {safe_ok}, \"pass\": {}}}\n}}\n",
-        speed_ok && verdict_ok && safe_ok
-    ));
-    out
+    let doc = Json::obj()
+        .with("bench", "commit-pipeline")
+        .with("mode", mode)
+        .with("tables", TABLES)
+        .with("commits_per_worker", commits)
+        .with("runs_per_cell", runs)
+        .with("throughput", throughput.collect::<Json>())
+        .with(
+            "speedup_at_gate",
+            Json::obj()
+                .with("workers", GATE_WORKERS)
+                .with("distribution", "uniform")
+                .with("isolation", "read committed")
+                .with("ratio", Json::Num(speedup, 2))
+                .with("required", Json::Num(GATE_RATIO, 1)),
+        )
+        .with("anomalies", anomaly_rows.collect::<Json>())
+        .with(
+            "gates",
+            Json::obj()
+                .with("speedup", speed_ok)
+                .with("verdict_agreement", verdict_ok)
+                .with("safe_cells_clean", safe_ok)
+                .with("pass", speed_ok && verdict_ok && safe_ok),
+        );
+    format!("{}\n", doc.render(FRAMED))
 }
 
 fn help() -> String {
@@ -581,8 +585,7 @@ mod planner {
     };
     use feral_sdg::matrix::PairKind;
     use feral_sim::scenarios::Guard;
-    use feral_trace::json::escape;
-    use std::fmt::Write as _;
+    use feral_trace::json::Json;
     use std::process::ExitCode;
 
     // The workload itself — templates, plan, integrity audit, timed
@@ -639,88 +642,63 @@ mod planner {
     }
 
     fn render_json(plan: &IsolationPlan, report: &Report<'_>) -> String {
-        let Report {
-            mode,
-            ops,
-            runs,
-            cells,
-            certs,
-            rows,
-            ratio,
-            gates,
-        } = *report;
-        let mut out = String::from("{\n  \"bench\": \"planner\",\n");
-        let _ = writeln!(out, "  \"mode\": \"{mode}\",");
-        let _ = writeln!(
-            out,
-            "  \"workers\": {WORKERS},\n  \"ops_per_worker\": {ops},\n  \"runs_per_config\": {runs},"
-        );
-        let _ = writeln!(
-            out,
-            "  \"plan\": {{\"default\": \"{}\", \"assignments\": [",
-            level_str(plan.default_level())
-        );
-        for (i, template) in TEMPLATES.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"template\": \"{template}\", \"level\": \"{}\"}}{}",
-                level_str(plan.level_for(template)),
-                if i + 1 < TEMPLATES.len() { "," } else { "" }
-            );
-        }
-        out.push_str("  ]},\n  \"certified_cells\": [\n");
-        for (i, (cell, cert)) in cells.iter().zip(certs).enumerate() {
-            let mut s = format!(
-                "    {{\"cell\": \"{}\", \"gate\": \"{}\", \"certified\": {}",
-                cell.key(),
-                cell.gate.name(),
-                cert.is_some()
-            );
+        let assignments = TEMPLATES.iter().map(|template| {
+            Json::obj()
+                .with("template", *template)
+                .with("level", level_str(plan.level_for(template)))
+        });
+        let certified = report.cells.iter().zip(report.certs).map(|(cell, cert)| {
+            let mut row = Json::obj()
+                .with("cell", cell.key())
+                .with("gate", cell.gate.name())
+                .with("certified", cert.is_some());
             if let Some(cert) = cert {
-                let _ = write!(
-                    s,
-                    ", \"sweep_runs\": {}, \"complete\": true",
-                    cert.sweep.runs
-                );
-                match &cert.witness {
-                    Some(w) => {
-                        let _ = write!(
-                            s,
-                            ", \"witness\": {{\"message\": \"{}\", \"replay\": \"{}\"}}",
-                            escape(&w.message),
-                            escape(&w.replay)
-                        );
-                    }
-                    None => s.push_str(", \"witness\": null"),
-                }
+                let witness = cert.witness.as_ref().map(|w| {
+                    Json::obj()
+                        .with("message", &w.message)
+                        .with("replay", &w.replay)
+                });
+                row.push("sweep_runs", cert.sweep.runs);
+                row.push("complete", true);
+                row.push("witness", witness);
             }
-            s.push('}');
-            let _ = writeln!(out, "{s}{}", if i + 1 < cells.len() { "," } else { "" });
-        }
-        out.push_str("  ],\n  \"throughput\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"config\": \"{}\", \"workers\": {WORKERS}, \"txns_per_sec\": {:.1}, \
-                 \"stddev\": {:.1}, \"committed\": {}, \"anomalies\": {}}}{}",
-                r.name,
-                r.mean,
-                r.std,
-                r.committed,
-                r.anomalies.json(),
-                if i + 1 < rows.len() { "," } else { "" }
+            row
+        });
+        let throughput = report.rows.iter().map(|r| {
+            Json::obj()
+                .with("config", r.name)
+                .with("workers", WORKERS)
+                .with("txns_per_sec", Json::Num(r.mean, 1))
+                .with("stddev", Json::Num(r.std, 1))
+                .with("committed", r.committed)
+                .with("anomalies", r.anomalies.json())
+        });
+        let (cert_ok, speed_ok, clean_ok) = report.gates;
+        let doc = Json::obj()
+            .with("bench", "planner")
+            .with("mode", report.mode)
+            .with("workers", WORKERS)
+            .with("ops_per_worker", report.ops)
+            .with("runs_per_config", report.runs)
+            .with(
+                "plan",
+                Json::obj()
+                    .with("default", level_str(plan.default_level()))
+                    .with("assignments", assignments.collect::<Json>()),
+            )
+            .with("certified_cells", certified.collect::<Json>())
+            .with("throughput", throughput.collect::<Json>())
+            .with(
+                "gates",
+                Json::obj()
+                    .with("planner_vs_serializable_ratio", Json::Num(report.ratio, 2))
+                    .with("required", Json::Num(SPEED_GATE, 2))
+                    .with("certificates", cert_ok)
+                    .with("speedup", speed_ok)
+                    .with("planned_runs_clean", clean_ok)
+                    .with("pass", cert_ok && speed_ok && clean_ok),
             );
-        }
-        let (cert_ok, speed_ok, clean_ok) = gates;
-        out.push_str("  ],\n");
-        let _ = writeln!(
-            out,
-            "  \"gates\": {{\"planner_vs_serializable_ratio\": {ratio:.2}, \"required\": {SPEED_GATE}, \
-             \"certificates\": {cert_ok}, \"speedup\": {speed_ok}, \"planned_runs_clean\": {clean_ok}, \
-             \"pass\": {}}}\n}}",
-            cert_ok && speed_ok && clean_ok
-        );
-        out
+        format!("{}\n", doc.render(super::FRAMED))
     }
 
     pub fn main(args: &Args) -> ExitCode {
@@ -872,11 +850,10 @@ mod planner {
 /// snapshot must validate against the audit export schema.
 mod audit {
     use super::planner;
-    use feral_audit::validate_audit_json;
     use feral_bench::{mean_std, median, Args};
     use feral_cli::EXIT_DEVIATION;
-    use feral_db::AuditMode;
-    use std::fmt::Write as _;
+    use feral_db::{AuditMode, AuditSnapshot};
+    use feral_trace::json::Json;
     use std::process::ExitCode;
 
     const TOOL: &str = "commitbench";
@@ -896,7 +873,7 @@ mod audit {
         gc_reclaims: u64,
         window_peak: u64,
         /// Last run's full audit snapshot (audited modes only).
-        snapshot_json: Option<String>,
+        audit: Option<Json>,
         schema_ok: bool,
     }
 
@@ -907,7 +884,7 @@ mod audit {
         committed: [u64; 3],
         anomalies: [planner::Anomalies; 3],
         sums: [[u64; 5]; 3], // cycles, edges, drops, gc, peak(max)
-        snapshots: [Option<String>; 3],
+        snapshots: [Option<Json>; 3],
         schema_ok: [bool; 3],
         sampled_ratios: Vec<f64>,
         full_ratios: Vec<f64>,
@@ -937,54 +914,46 @@ mod audit {
         ratios: (f64, f64),
         gates: (bool, bool, bool),
     ) -> String {
-        let mut out = String::from("{\n  \"bench\": \"audit\",\n");
-        let _ = writeln!(out, "  \"mode\": \"{mode}\",");
-        let _ = writeln!(
-            out,
-            "  \"workers\": {},\n  \"ops_per_worker\": {ops},\n  \"runs_per_config\": {runs},\n  \"sample_every\": {sample},",
-            planner::WORKERS
-        );
-        out.push_str("  \"configs\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            let mut s = format!(
-                "    {{\"config\": \"{}\", \"audit_mode\": \"{}\", \"txns_per_sec\": {:.1}, \
-                 \"stddev\": {:.1}, \"committed\": {}, \"anomalies\": {}",
-                r.name,
-                r.mode.name(),
-                r.mean,
-                r.std,
-                r.committed,
-                r.anomalies.json(),
-            );
+        let configs = rows.iter().map(|r| {
+            let mut row = Json::obj()
+                .with("config", r.name)
+                .with("audit_mode", r.mode.name())
+                .with("txns_per_sec", Json::Num(r.mean, 1))
+                .with("stddev", Json::Num(r.std, 1))
+                .with("committed", r.committed)
+                .with("anomalies", r.anomalies.json());
             if !r.mode.is_off() {
-                let _ = write!(
-                    s,
-                    ", \"cycles\": {}, \"edges\": {}, \"drops\": {}, \"gc_reclaims\": {}, \
-                     \"window_peak\": {}, \"schema_valid\": {}",
-                    r.cycles, r.edges, r.drops, r.gc_reclaims, r.window_peak, r.schema_ok
-                );
+                row.push("cycles", r.cycles);
+                row.push("edges", r.edges);
+                row.push("drops", r.drops);
+                row.push("gc_reclaims", r.gc_reclaims);
+                row.push("window_peak", r.window_peak);
+                row.push("schema_valid", r.schema_ok);
             }
-            match &r.snapshot_json {
-                // re-indent the embedded snapshot to this nesting depth
-                Some(json) => {
-                    let _ = write!(s, ", \"audit\": {}", json.replace('\n', "\n    "));
-                }
-                None => s.push_str(", \"audit\": null"),
-            }
-            s.push('}');
-            let _ = writeln!(out, "{s}{}", if i + 1 < rows.len() { "," } else { "" });
-        }
+            row.with("audit", r.audit.clone())
+        });
         let (overhead_ok, clean_ok, schema_ok) = gates;
         let (sampled_ratio, full_ratio) = ratios;
-        out.push_str("  ],\n");
-        let _ = writeln!(
-            out,
-            "  \"gates\": {{\"sampled_vs_off_ratio\": {sampled_ratio:.3}, \"required\": {OVERHEAD_GATE}, \
-             \"full_vs_off_ratio\": {full_ratio:.3}, \"overhead\": {overhead_ok}, \
-             \"planned_runs_clean\": {clean_ok}, \"audit_schema\": {schema_ok}, \"pass\": {}}}\n}}",
-            overhead_ok && clean_ok && schema_ok
-        );
-        out
+        let doc = Json::obj()
+            .with("bench", "audit")
+            .with("mode", mode)
+            .with("workers", planner::WORKERS)
+            .with("ops_per_worker", ops)
+            .with("runs_per_config", runs)
+            .with("sample_every", sample)
+            .with("configs", configs.collect::<Json>())
+            .with(
+                "gates",
+                Json::obj()
+                    .with("sampled_vs_off_ratio", Json::Num(sampled_ratio, 3))
+                    .with("required", Json::Num(OVERHEAD_GATE, 2))
+                    .with("full_vs_off_ratio", Json::Num(full_ratio, 3))
+                    .with("overhead", overhead_ok)
+                    .with("planned_runs_clean", clean_ok)
+                    .with("audit_schema", schema_ok)
+                    .with("pass", overhead_ok && clean_ok && schema_ok),
+            );
+        format!("{}\n", doc.render(super::FRAMED))
     }
 
     pub fn main(args: &Args) -> ExitCode {
@@ -1033,7 +1002,7 @@ mod audit {
                         m.sums[i][3] += snap.gc_reclaims;
                         m.sums[i][4] = m.sums[i][4].max(snap.window_peak);
                         let json = snap.to_json();
-                        if let Err(e) = validate_audit_json(&json) {
+                        if let Err(e) = AuditSnapshot::from_json(&json) {
                             eprintln!("  {}: snapshot failed schema validation: {e}", modes[i].0);
                             m.schema_ok[i] = false;
                         }
@@ -1105,7 +1074,7 @@ mod audit {
                 drops: m.sums[i][2],
                 gc_reclaims: m.sums[i][3],
                 window_peak: m.sums[i][4],
-                snapshot_json: m.snapshots[i].take(),
+                audit: m.snapshots[i].take(),
                 schema_ok: m.schema_ok[i],
             });
         }

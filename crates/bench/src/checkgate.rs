@@ -1,128 +1,95 @@
-//! The tier-1 run-report gate as a library: schema-validate a
-//! `BENCH_table1.json` artifact and enforce the smoke-gate invariants
-//! from the *outside*, independent of the writer's self-validation.
-//! The `checkreport` binary is a thin wrapper; the failure paths live
-//! here where they are testable.
+//! The artifact gates behind `checkreport`, as a library: each gate
+//! parses and validates one artifact kind from the *outside*,
+//! independent of the writer's self-validation, and [`GATES`] is the
+//! table the binary dispatches on. The failure paths live here where
+//! they are testable.
 
-use feral_trace::json::Json;
+use feral_audit::AuditSnapshot;
+use feral_trace::json;
 use feral_trace::report::validate_report;
+use std::collections::BTreeSet;
 
-/// What a passing gate saw, for the one-line OK message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GateSummary {
-    /// Cells in the report.
-    pub cells: usize,
-    /// Provenance records carrying a replayable witness.
-    pub witnessed: usize,
+/// A gate: artifact text in, the summary printed after `OK` out.
+pub type Gate = fn(&str) -> Result<String, String>;
+
+/// `checkreport [FLAG] <artifact.json>`: the flag selecting each gate
+/// (empty for the default table1 run-report gate).
+pub const GATES: [(&str, Gate); 3] = [
+    ("", check_report_text),
+    ("--audit", check_audit_bench_text),
+    ("--load", feral_net::validate_load_report),
+];
+
+/// Read `path`, then gate its text. A missing or unreadable file is a
+/// gate failure, not a panic; every error names the path.
+pub fn check_file(path: &str, gate: Gate) -> Result<String, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    gate(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Gate a report's JSON text: parse + schema-validate via
+/// Gate a `BENCH_table1.json` report: validate it with
 /// `feral_trace::report::validate_report`, then require that every cell
 /// committed work and that at least one provenance record explains its
 /// anomaly with a replayable `feral-sim` witness.
-pub fn check_report_text(text: &str) -> Result<GateSummary, String> {
+pub fn check_report_text(text: &str) -> Result<String, String> {
     let doc = validate_report(text)?;
-    let cells = doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "report has no cells array".to_string())?;
+    let cells = doc.node("report").get("cells")?.items()?;
     let mut witnessed = 0usize;
-    for cell in cells {
-        let label = cell
-            .get("label")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "cell without a label".to_string())?;
+    for cell in &cells {
+        let label = cell.get("label")?.str()?;
         let commits = cell
-            .get("stats")
-            .and_then(|s| s.get("commits"))
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("cell {label}: no commits counter"))?;
+            .get("stats")?
+            .opt("commits")
+            .ok_or_else(|| format!("cell {label}: no commits counter"))?
+            .u64()?;
         if commits == 0 {
             return Err(format!("cell {label}: zero commits"));
         }
-        let provenance = cell
-            .get("provenance")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("cell {label}: no provenance array"))?;
-        for p in provenance {
-            let has_witness = p.get("witness").map(|w| *w != Json::Null).unwrap_or(false);
-            if has_witness {
-                witnessed += 1;
-            }
-        }
+        let provenance = cell.get("provenance")?.items()?;
+        witnessed += provenance
+            .iter()
+            .filter(|p| p.opt("witness").is_some())
+            .count();
     }
     if witnessed == 0 {
         return Err("no provenance record carries a replayable witness".to_string());
     }
-    Ok(GateSummary {
-        cells: cells.len(),
-        witnessed,
-    })
+    Ok(format!(
+        "{} cells, {witnessed} witnessed provenance records",
+        cells.len()
+    ))
 }
 
-/// File-path variant: read, then gate. A missing or unreadable file is
-/// a gate failure, not a panic.
-pub fn check_report_file(path: &str) -> Result<GateSummary, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    check_report_text(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// What a passing audit-bench gate saw, for the one-line OK message.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AuditGateSummary {
-    /// Auditor configurations in the artifact.
-    pub configs: usize,
-    /// Sampled-mode throughput relative to auditor-off.
-    pub sampled_vs_off: f64,
-}
-
-/// Gate a `BENCH_audit.json` artifact from the outside, independent of
-/// the writer's self-gating: well-formed envelope, one row per auditor
-/// mode with committed work, every audited row embedding a
-/// schema-valid audit snapshot with zero anomaly cycles (the certified
-/// plan must audit clean), and the writer's own gate verdicts all true
-/// with the sampled-overhead ratio meeting its recorded requirement.
-pub fn check_audit_bench_text(text: &str) -> Result<AuditGateSummary, String> {
-    let doc = feral_trace::json::parse(text)?;
-    if doc.get("bench").and_then(Json::as_str) != Some("audit") {
+/// Gate a `BENCH_audit.json` artifact: one row per auditor mode with
+/// committed work, every audited row embedding a snapshot that passes
+/// the validating [`AuditSnapshot`] decode with zero anomaly cycles
+/// (the certified plan must audit clean), and the writer's own gate
+/// verdicts all true with the sampled-overhead ratio meeting its
+/// recorded requirement.
+pub fn check_audit_bench_text(text: &str) -> Result<String, String> {
+    let doc = json::parse(text)?;
+    let bench = doc.node("audit-bench");
+    if bench.get("bench")?.str()? != "audit" {
         return Err("not an audit bench artifact (bench != \"audit\")".to_string());
     }
-    let configs = doc
-        .get("configs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "artifact has no configs array".to_string())?;
-    let mut modes_seen = Vec::new();
-    for c in configs {
-        let name = c
-            .get("config")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "config row without a name".to_string())?;
-        let mode = c
-            .get("audit_mode")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("config {name}: no audit_mode"))?;
-        modes_seen.push(mode.split('/').next().unwrap_or(mode).to_string());
-        let committed = c
-            .get("committed")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("config {name}: no committed counter"))?;
-        if committed == 0 {
+    let configs = bench.get("configs")?.items()?;
+    let mut modes_seen = BTreeSet::new();
+    for c in &configs {
+        let name = c.get("config")?.str()?;
+        let mode = c.get("audit_mode")?.str()?;
+        modes_seen.insert(mode.split('/').next().unwrap_or(mode));
+        if c.get("committed")?.u64()? == 0 {
             return Err(format!("config {name}: zero committed transactions"));
         }
-        let snapshot = c
-            .get("audit")
-            .ok_or_else(|| format!("config {name}: no audit member"))?;
+        let snapshot = c.get("audit")?;
         if mode == "off" {
             continue;
         }
-        if *snapshot == Json::Null {
+        if snapshot.is_null() {
             return Err(format!("config {name}: audited mode without a snapshot"));
         }
-        feral_audit::validate_audit(snapshot).map_err(|e| format!("config {name}: {e}"))?;
-        let cycles = c
-            .get("cycles")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("config {name}: no cycles counter"))?;
+        AuditSnapshot::from_json(snapshot.value()).map_err(|e| format!("config {name}: {e}"))?;
+        let cycles = c.get("cycles")?.u64()?;
         if cycles != 0 {
             return Err(format!(
                 "config {name}: certified plan produced {cycles} anomaly cycles"
@@ -130,163 +97,47 @@ pub fn check_audit_bench_text(text: &str) -> Result<AuditGateSummary, String> {
         }
     }
     for required in ["off", "sampled", "full"] {
-        if !modes_seen.iter().any(|m| m == required) {
+        if !modes_seen.contains(required) {
             return Err(format!("artifact is missing the {required} auditor mode"));
         }
     }
-    let gates = doc
-        .get("gates")
-        .ok_or_else(|| "artifact has no gates object".to_string())?;
+    let gates = bench.get("gates")?;
     for verdict in ["overhead", "planned_runs_clean", "audit_schema", "pass"] {
-        if gates.get(verdict).and_then(Json::as_bool) != Some(true) {
+        if !gates.get(verdict)?.bool()? {
             return Err(format!("gate verdict {verdict} is not true"));
         }
     }
-    let ratio = gates
-        .get("sampled_vs_off_ratio")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| "gates object has no sampled_vs_off_ratio".to_string())?;
-    let required = gates
-        .get("required")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| "gates object has no required ratio".to_string())?;
+    let ratio = gates.get("sampled_vs_off_ratio")?.f64()?;
+    let required = gates.get("required")?.f64()?;
     if ratio < required {
         return Err(format!(
             "sampled_vs_off_ratio {ratio:.3} is below the required {required}"
         ));
     }
-    Ok(AuditGateSummary {
-        configs: configs.len(),
-        sampled_vs_off: ratio,
-    })
-}
-
-/// File-path variant of [`check_audit_bench_text`].
-pub fn check_audit_bench_file(path: &str) -> Result<AuditGateSummary, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    check_audit_bench_text(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// What a passing load-bench gate saw, for the one-line OK message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadGateSummary {
-    /// Grid cells in the artifact.
-    pub cells: usize,
-    /// Distinct worker counts covered by the grid.
-    pub worker_counts: usize,
-    /// Ablation configurations (planner / all-serializable).
-    pub ablation_configs: usize,
-}
-
-/// Gate a `BENCH_load.json` artifact: the validator is
-/// `feral_net::report::validate_load_report` — the same one the writer
-/// self-applies, deliberately shared (like `validate_report` for
-/// table1) so gate and writer cannot drift — plus the envelope checks
-/// it enforces: ≥3 worker counts under both arrival distributions,
-/// reply accounting, and a clean planner/all-serializable ablation
-/// with embedded audit snapshots.
-pub fn check_load_bench_text(text: &str) -> Result<LoadGateSummary, String> {
-    let summary = feral_net::validate_load_report(text)?;
-    Ok(LoadGateSummary {
-        cells: summary.cells,
-        worker_counts: summary.worker_counts,
-        ablation_configs: summary.ablation_configs,
-    })
-}
-
-/// File-path variant of [`check_load_bench_text`].
-pub fn check_load_bench_file(path: &str) -> Result<LoadGateSummary, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    check_load_bench_text(&text).map_err(|e| format!("{path}: {e}"))
+    Ok(format!(
+        "{} auditor configs, sampled {ratio:.3}x off",
+        configs.len()
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use feral_trace::hist::Histogram;
-    use feral_trace::provenance::{ProvenanceRecord, RacingTxn, Witness};
-    use feral_trace::report::{CellReport, RunReport};
-
-    /// A minimal well-formed report: one committed cell, one witnessed
-    /// provenance record. Mirrors the writer-side `sample_report` in
-    /// `feral_trace::report`.
-    fn passing_report() -> RunReport {
-        let latency = Histogram::new();
-        latency.record(1_000);
-        latency.record(2_000);
-        RunReport {
-            report: "table1-smoke".to_string(),
-            smoke: true,
-            seed: 42,
-            cells: vec![CellReport {
-                label: "uniqueness/feral".to_string(),
-                isolation: "read committed".to_string(),
-                enforcement: "feral".to_string(),
-                workers: 2,
-                rounds: 8,
-                concurrent: 2,
-                duplicates: 1,
-                rows: 9,
-                rejected: 0,
-                stats: vec![("commits".to_string(), 9), ("aborts".to_string(), 0)],
-                histograms: vec![("txn_latency".to_string(), latency.snapshot())],
-                provenance: vec![ProvenanceRecord {
-                    anomaly: "duplicate-key".to_string(),
-                    table: "key_values".to_string(),
-                    key: "dup".to_string(),
-                    key_hash: 7,
-                    racing: vec![
-                        RacingTxn {
-                            worker: 0,
-                            txn: 1,
-                            probe_seq: 1,
-                            probe_ts: 10,
-                            write_seq: 3,
-                            write_ts: 30,
-                        },
-                        RacingTxn {
-                            worker: 1,
-                            txn: 2,
-                            probe_seq: 2,
-                            probe_ts: 20,
-                            write_seq: 4,
-                            write_ts: 40,
-                        },
-                    ],
-                    overlap_nanos: 20,
-                    witness: Some(Witness {
-                        scenario: "uniqueness".to_string(),
-                        isolation: "read-committed".to_string(),
-                        guard: "feral".to_string(),
-                        workers: 2,
-                        replay: "feral-sim replay --scenario uniqueness --seed 3".to_string(),
-                        message: "duplicate key admitted".to_string(),
-                    }),
-                    flight: vec!["w0 probe".to_string(), "w1 probe".to_string()],
-                }],
-            }],
-        }
-    }
+    use feral_trace::json::Layout;
+    use feral_trace::report::sample_report;
 
     #[test]
     fn well_formed_witnessed_report_passes() {
-        let summary = check_report_text(&passing_report().to_json()).expect("gate passes");
-        assert_eq!(
-            summary,
-            GateSummary {
-                cells: 1,
-                witnessed: 1
-            }
-        );
+        let summary = check_report_text(&sample_report().to_json()).expect("gate passes");
+        assert_eq!(summary, "1 cells, 1 witnessed provenance records");
     }
 
     #[test]
     fn missing_file_is_a_gate_failure() {
-        let err = check_report_file("/nonexistent/BENCH_table1.json").unwrap_err();
-        assert!(
-            err.contains("reading /nonexistent/BENCH_table1.json"),
-            "{err}"
-        );
+        for (_, gate) in GATES {
+            let err = check_file("/nonexistent/BENCH.json", gate).unwrap_err();
+            assert!(err.contains("reading /nonexistent/BENCH.json"), "{err}");
+        }
     }
 
     #[test]
@@ -299,13 +150,13 @@ mod tests {
 
     #[test]
     fn zero_commit_cell_fails_the_gate() {
-        let mut report = passing_report();
+        let mut report = sample_report();
         report.cells[0].stats = vec![("commits".to_string(), 0)];
         let err = check_report_text(&report.to_json()).unwrap_err();
         assert!(err.contains("zero commits"), "{err}");
 
         // a cell with no commits counter at all is equally fatal
-        let mut report = passing_report();
+        let mut report = sample_report();
         report.cells[0].stats = vec![("aborts".to_string(), 3)];
         let err = check_report_text(&report.to_json()).unwrap_err();
         assert!(err.contains("no commits counter"), "{err}");
@@ -313,7 +164,7 @@ mod tests {
 
     #[test]
     fn report_without_any_witness_fails_the_gate() {
-        let mut report = passing_report();
+        let mut report = sample_report();
         report.cells[0].provenance[0].witness = None;
         let err = check_report_text(&report.to_json()).unwrap_err();
         assert!(
@@ -340,7 +191,7 @@ mod tests {
             writes: Vec::new(),
             sampled_out: false,
         });
-        let snap = auditor.snapshot().to_json();
+        let snap = auditor.snapshot().to_json().render(Layout::Compact);
         let audited = |name: &str, mode: &str, snapshot: &str| {
             format!(
                 "{{\"config\": \"{name}\", \"audit_mode\": \"{mode}\", \"committed\": 640, \
@@ -363,79 +214,10 @@ mod tests {
         )
     }
 
-    fn load_artifact() -> String {
-        use feral_net::{AblationRow, GridRow, LoadOutcome};
-        let outcome = || {
-            let h = Histogram::new();
-            for i in 0..100u64 {
-                h.record(1_000 + i * 13);
-            }
-            LoadOutcome {
-                sent: 100,
-                completed: 100,
-                shed: 0,
-                errors: 0,
-                lost: 0,
-                elapsed: 1.0,
-                latency: h.snapshot(),
-            }
-        };
-        let mut grid = Vec::new();
-        for w in [1usize, 2, 4] {
-            for dist in ["uniform", "zipfian"] {
-                grid.push(GridRow {
-                    workers: w,
-                    dist,
-                    conns: 2,
-                    sessions: 1_000_000,
-                    target_rate: 1000.0,
-                    think_us: 0,
-                    outcome: outcome(),
-                });
-            }
-        }
-        let ablation: Vec<AblationRow> = ["planner", "all-serializable"]
-            .into_iter()
-            .map(|config| AblationRow {
-                config,
-                outcome: outcome(),
-                anomalies: Default::default(),
-                cycles: 0,
-                schema_ok: true,
-                snapshot_json: Some("{\"cycles\": 0}".to_string()),
-            })
-            .collect();
-        feral_net::render_load_json("smoke", 64, 8, &grid, &ablation)
-    }
-
-    #[test]
-    fn well_formed_load_artifact_passes() {
-        let summary = check_load_bench_text(&load_artifact()).expect("gate passes");
-        assert_eq!(summary.cells, 6);
-        assert_eq!(summary.worker_counts, 3);
-        assert_eq!(summary.ablation_configs, 2);
-    }
-
-    #[test]
-    fn load_artifact_failures_are_gate_failures() {
-        assert!(check_load_bench_text("{\"bench\": \"other\"}").is_err());
-        let good = load_artifact();
-        let err =
-            check_load_bench_text(&good.replace("\"pass\": true", "\"pass\": false")).unwrap_err();
-        assert!(err.contains("pass"), "{err}");
-        let err = check_load_bench_text(
-            &good.replace("\"config\": \"all-serializable\"", "\"config\": \"other\""),
-        )
-        .unwrap_err();
-        assert!(err.contains("all-serializable"), "{err}");
-        assert!(check_load_bench_file("/nonexistent/BENCH_load.json").is_err());
-    }
-
     #[test]
     fn well_formed_audit_artifact_passes() {
         let summary = check_audit_bench_text(&audit_artifact(true)).expect("gate passes");
-        assert_eq!(summary.configs, 3);
-        assert!((summary.sampled_vs_off - 0.973).abs() < 1e-9);
+        assert_eq!(summary, "3 auditor configs, sampled 0.973x off");
     }
 
     #[test]
@@ -471,7 +253,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("missing the sampled"), "{err}");
-        // unreadable file
-        assert!(check_audit_bench_file("/nonexistent/BENCH_audit.json").is_err());
     }
 }

@@ -117,7 +117,7 @@ fn same_seed_same_audit_report() {
     )
     .scenario;
     for seed in [3u64, 17, 1031] {
-        let reports: Vec<String> = (0..2)
+        let reports: Vec<feral_trace::json::Json> = (0..2)
             .map(|_| {
                 let (app, trial) = spec.build_audited(AuditMode::Full);
                 let db = app.db().clone();

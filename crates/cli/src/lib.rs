@@ -3,9 +3,10 @@
 //! The command-line plumbing shared by the tool binaries (`feral-sim`,
 //! `feral-lint`, `feral-sdg`, `commitbench`, and the `feral-bench`
 //! experiment binaries): a minimal `--flag value` parser, the common
-//! exit-code conventions, isolation-level parsing, and `--out` output
-//! routing. Each binary keeps its own subcommands and semantics; only
-//! the previously copy-pasted surface lives here.
+//! exit-code conventions, parse-or-die for typed flag values, and
+//! `--out` output routing. Each binary keeps its own subcommands and
+//! semantics; only the shared surface lives here. The crate depends on
+//! no other workspace crate, so every binary can link it.
 //!
 //! Exit-code convention: `0` success, [`EXIT_DEVIATION`] (`1`) for "ran
 //! fine but the result deviates" (an anomaly found, a validation
@@ -13,10 +14,8 @@
 
 #![warn(missing_docs)]
 
-pub mod report;
-
-use feral_db::IsolationLevel;
 use std::collections::HashMap;
+use std::str::FromStr;
 
 /// Exit code for "the tool ran, but the result deviates" (anomaly
 /// found, validation failed, gate missed).
@@ -31,28 +30,11 @@ pub fn die(tool: &str, msg: &str) -> ! {
     std::process::exit(EXIT_USAGE as i32)
 }
 
-/// Parse an isolation-level name (`read-committed`, `repeatable-read`,
-/// `snapshot`, `serializable`), dying with a usage error otherwise.
-pub fn parse_isolation(tool: &str, s: &str) -> IsolationLevel {
-    IsolationLevel::parse(s).unwrap_or_else(|| die(tool, &format!("unknown isolation `{s}`")))
-}
-
-/// Parse a comma-separated pair of isolation-level names
-/// (`snapshot,serializable`) — the `--levels` spelling for
-/// mixed-isolation runs, one level per template slot. Dies with a usage
-/// error unless exactly two valid names are given.
-pub fn parse_levels(tool: &str, s: &str) -> [IsolationLevel; 2] {
-    let parts: Vec<&str> = s.split(',').map(str::trim).collect();
-    if parts.len() != 2 {
-        die(
-            tool,
-            &format!("--levels wants exactly two comma-separated levels, got `{s}`"),
-        );
-    }
-    [
-        parse_isolation(tool, parts[0]),
-        parse_isolation(tool, parts[1]),
-    ]
+/// Parse a flag value as a `T` (an isolation level, a count), dying
+/// with a usage error that names `what` otherwise.
+pub fn parse_or_die<T: FromStr>(tool: &str, what: &str, s: &str) -> T {
+    s.parse()
+        .unwrap_or_else(|_| die(tool, &format!("unknown {what} `{s}`")))
 }
 
 /// Route rendered output: write to `path` when given (reporting the
@@ -70,9 +52,8 @@ pub fn write_out(tool: &str, path: Option<&str>, rendered: &str) {
 }
 
 /// The standard flags every tool binary accepts, rendered as the
-/// closing block of its `--help` text. Binaries that hand-roll their
-/// argument parsing (dependency cycles) must reproduce this block
-/// verbatim; the per-crate `cli_help` integration tests pin it.
+/// closing block of its `--help` text; the per-crate `cli_help`
+/// integration tests pin it.
 pub const STANDARD_FLAGS: &str = "\
 Standard flags:
   --json            emit machine-readable JSON
@@ -211,24 +192,7 @@ mod tests {
     }
 
     #[test]
-    fn levels_parse_as_a_pair() {
-        let pair = parse_levels("test", "snapshot, serializable");
-        assert_eq!(
-            pair,
-            [IsolationLevel::Snapshot, IsolationLevel::Serializable]
-        );
-    }
-
-    #[test]
-    fn isolation_names_parse() {
-        let cases = [
-            ("read-committed", IsolationLevel::ReadCommitted),
-            ("repeatable-read", IsolationLevel::RepeatableRead),
-            ("snapshot", IsolationLevel::Snapshot),
-            ("serializable", IsolationLevel::Serializable),
-        ];
-        for (name, iso) in cases {
-            assert_eq!(parse_isolation("test", name), iso);
-        }
+    fn typed_values_parse() {
+        assert_eq!(parse_or_die::<u32>("test", "count", "12"), 12);
     }
 }

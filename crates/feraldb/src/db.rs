@@ -155,7 +155,7 @@ pub struct Config {
     /// PostgreSQL's default — the configuration the paper's experiments run
     /// under ("Rails does not configure the database isolation level").
     pub default_isolation: IsolationLevel,
-    /// Lock-wait timeout; expiry aborts the waiter (deadlock resolution).
+    /// Lock-wait timeout (doubled for a waiter older than every holder); expiry aborts.
     pub lock_timeout: Duration,
     /// Reproduce PostgreSQL bug #11732 (paper footnote 8): under
     /// Serializable, predicate reads that are *not* served by an index are
@@ -855,6 +855,15 @@ impl Database {
     }
 }
 
+impl std::str::FromStr for IsolationLevel {
+    type Err = String;
+
+    /// [`IsolationLevel::parse`] as a `FromStr`, for generic CLI parsing.
+    fn from_str(s: &str) -> Result<IsolationLevel, String> {
+        IsolationLevel::parse(s).ok_or_else(|| format!("unknown isolation level `{s}`"))
+    }
+}
+
 /// A certified isolation plan: per transaction-template name, the
 /// weakest [`IsolationLevel`] a static analysis proved anomaly-free.
 ///
@@ -1055,6 +1064,9 @@ mod tests {
             Some(IsolationLevel::Serializable)
         );
         assert_eq!(IsolationLevel::parse("chaos"), None);
+        // the FromStr the CLIs parse flags through
+        assert_eq!("snapshot".parse(), Ok(IsolationLevel::Snapshot));
+        assert!("chaos".parse::<IsolationLevel>().is_err());
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! Serializable — the asymmetry this module makes explicit.
 //!
 //! Deadlocks are resolved by bounded waiting: a transaction that cannot
-//! acquire a lock within the configured timeout aborts with
-//! [`DbError::LockTimeout`], mirroring lock-wait timeouts in MySQL and
-//! statement timeouts commonly configured on PostgreSQL.
+//! acquire a lock within the configured timeout (twice that while it is
+//! older than every holder) aborts with [`DbError::LockTimeout`], like
+//! lock-wait timeouts in MySQL and statement timeouts on PostgreSQL.
 
 use crate::error::{DbError, DbResult};
 use crate::schema::{IndexId, TableId};
@@ -141,9 +141,9 @@ impl LockManager {
     }
 
     /// Acquire `key` in `mode` on behalf of `txn`, blocking up to the
-    /// configured timeout. Re-entrant; upgrades Shared→Exclusive when the
-    /// holder is alone. Returns `Ok(true)` if the lock was (newly or
-    /// already) held, so callers can record it for release.
+    /// configured timeout times [`patience`]. Re-entrant; upgrades
+    /// Shared→Exclusive when the holder is alone. `Ok` means the lock is
+    /// held (newly or already), so callers can record it for release.
     pub fn acquire(&self, txn: TxnId, key: &LockKey, mode: LockMode) -> DbResult<()> {
         let cell = self.cell(key);
         let mut state = cell.state.lock();
@@ -175,7 +175,7 @@ impl LockManager {
             state.grant(txn, mode);
             return Ok(());
         }
-        let deadline = Instant::now() + self.timeout;
+        let deadline = Instant::now() + self.timeout * patience(&state.holders, txn);
         while !state.compatible(txn, mode) {
             state.waiters += 1;
             let timed_out = cell.cv.wait_until(&mut state, deadline).timed_out();
@@ -252,6 +252,21 @@ impl LockManager {
     }
 }
 
+/// Timeout multiplier for a lock wait: a transaction older (lower id)
+/// than every holder waits twice as long. In a two-transaction deadlock
+/// both waits start together, so equal deadlines tend to expire both;
+/// with this the younger one times out first and its release lets the
+/// older one finish. `acquire` reads it once, from the holders present
+/// when the wait starts; later changes to the holder set do not move
+/// that deadline.
+fn patience(holders: &[(TxnId, LockMode)], txn: TxnId) -> u32 {
+    if holders.iter().all(|&(holder, _)| txn < holder) {
+        2
+    } else {
+        1
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,6 +336,36 @@ mod tests {
         lm.release(1, &key());
         h.join().unwrap();
         assert!(got.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn older_waiter_outlasts_younger_in_a_deadlock() {
+        let timeout = Duration::from_millis(400);
+        let lm = Arc::new(LockManager::new(timeout));
+        let (a, b) = (key(), LockKey::Row(TableId(1), 8));
+        lm.acquire(1, &a, LockMode::Exclusive).unwrap();
+        lm.acquire(2, &b, LockMode::Exclusive).unwrap();
+        let (lm1, b1) = (lm.clone(), b.clone());
+        let older = thread::spawn(move || lm1.acquire(1, &b1, LockMode::Exclusive));
+        while lm.cell(&b).state.lock().waiters == 0 {
+            thread::yield_now();
+        }
+        // T1 has waited half a timeout when T2 (younger) closes the cycle:
+        // with equal deadlines T1 would expire first, but it waits twice
+        // as long, so T2 times out after one timeout and T1 finishes
+        thread::sleep(timeout / 2);
+        let started = Instant::now();
+        let err = lm.acquire(2, &a, LockMode::Exclusive).unwrap_err();
+        let waited = started.elapsed();
+        assert!(matches!(err, DbError::LockTimeout { .. }));
+        assert!(waited >= timeout && waited < 2 * timeout, "{waited:?}");
+        lm.release(2, &b);
+        older
+            .join()
+            .unwrap()
+            .expect("the older transaction gets B once the younger aborts");
+        lm.release_all(1, &[a, b]);
+        assert_eq!(lm.cells(), 0);
     }
 
     #[test]

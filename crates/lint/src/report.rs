@@ -1,19 +1,13 @@
-//! Report rendering: human text, JSON, and SARIF 2.1.0.
-//!
-//! JSON is emitted by hand (the workspace's `serde` is an offline shim
-//! without a serializer); every dynamic string goes through
-//! [`json_escape`].
+//! Report rendering: human text, JSON, and SARIF 2.1.0, the machine
+//! formats built as [`feral_trace::json::Json`] values.
 
 use crate::rules::{rule_meta, Anomaly, Finding, Severity, RULES};
 use crate::witness::Witness;
 use crate::CorpusRun;
-use feral_cli::report::{SarifResult, SarifRule};
 use feral_iconfluence::{PaperVerdict, Safety};
+use feral_trace::json::{Json, Layout};
+use feral_trace::sarif::{SarifResult, SarifRule};
 use std::fmt::Write as _;
-
-/// Shared JSON string escaper (re-exported so existing callers keep
-/// their `feral_lint::report::json_escape` path).
-pub use feral_cli::report::json_escape;
 
 fn verdict_str(v: PaperVerdict) -> &'static str {
     match v {
@@ -141,69 +135,52 @@ fn render_summary(run: &CorpusRun, out: &mut String) {
     }
 }
 
-fn json_witness(w: &Witness) -> String {
-    let choices: Vec<String> = w.choices.iter().map(|c| c.to_string()).collect();
-    format!(
-        "{{\"scenario\":\"{}\",\"strategy\":\"{}\",\"seed\":{},\"choices\":[{}],\"schedules_searched\":{},\"message\":\"{}\",\"replay\":\"{}\"}}",
-        json_escape(&w.spec.label()),
-        w.strategy,
-        w.seed.map_or("null".to_string(), |s| s.to_string()),
-        choices.join(","),
-        w.schedules_searched,
-        json_escape(&w.message),
-        json_escape(&w.replay)
-    )
+fn json_witness(w: &Witness) -> Json {
+    Json::obj()
+        .with("scenario", w.spec.label())
+        .with("strategy", w.strategy)
+        .with("seed", w.seed)
+        .with("choices", w.choices.clone())
+        .with("schedules_searched", w.schedules_searched)
+        .with("message", &w.message)
+        .with("replay", &w.replay)
 }
 
-fn json_finding(f: &Finding, witnesses: &[Witness]) -> String {
+fn json_finding(f: &Finding, witnesses: &[Witness]) -> Json {
     let meta = rule_meta(f.rule);
-    let witness = f
-        .witness
-        .and_then(|wi| witnesses.get(wi))
-        .map_or("null".to_string(), json_witness);
-    format!(
-        "{{\"rule\":\"{}\",\"name\":\"{}\",\"severity\":\"{}\",\"model\":\"{}\",\"file\":\"{}\",\"message\":\"{}\",\"verdict\":\"{}\",\"safety\":\"{}\",\"anomaly\":{},\"citation\":\"{}\",\"witness\":{}}}",
-        f.rule,
-        meta.name,
-        f.severity.sarif_level(),
-        json_escape(&f.model),
-        json_escape(&f.file),
-        json_escape(&f.message),
-        verdict_str(f.verdict),
-        safety_str(f.safety),
-        f.anomaly
-            .map_or("null".to_string(), |a| format!("\"{}\"", a.label())),
-        json_escape(meta.citation),
-        witness
-    )
+    Json::obj()
+        .with("rule", f.rule)
+        .with("name", meta.name)
+        .with("severity", f.severity.sarif_level())
+        .with("model", &f.model)
+        .with("file", &f.file)
+        .with("message", &f.message)
+        .with("verdict", verdict_str(f.verdict))
+        .with("safety", safety_str(f.safety))
+        .with("anomaly", f.anomaly.map(|a| a.label()))
+        .with("citation", meta.citation)
+        .with(
+            "witness",
+            f.witness.and_then(|wi| witnesses.get(wi)).map(json_witness),
+        )
 }
 
 /// Machine-readable JSON: one object per app with nested findings.
 pub fn render_json(run: &CorpusRun) -> String {
-    let apps: Vec<String> = run
-        .apps
-        .iter()
-        .map(|app| {
-            let findings: Vec<String> = app
-                .findings
-                .iter()
-                .map(|f| json_finding(f, &run.witnesses))
-                .collect();
-            format!(
-                "{{\"app\":\"{}\",\"models\":{},\"validations\":{},\"associations\":{},\"transactions\":{},\"findings\":[{}]}}",
-                json_escape(&app.app),
-                app.models,
-                app.validations,
-                app.associations,
-                app.transactions,
-                findings.join(",")
-            )
-        })
-        .collect();
-    format!(
-        "{{\"tool\":\"feral-lint\",\"apps\":[{}]}}\n",
-        apps.join(",")
-    )
+    let apps = run.apps.iter().map(|app| {
+        let findings = app.findings.iter().map(|f| json_finding(f, &run.witnesses));
+        Json::obj()
+            .with("app", &app.app)
+            .with("models", app.models)
+            .with("validations", app.validations)
+            .with("associations", app.associations)
+            .with("transactions", app.transactions)
+            .with("findings", findings.collect::<Json>())
+    });
+    let doc = Json::obj()
+        .with("tool", "feral-lint")
+        .with("apps", apps.collect::<Json>());
+    format!("{}\n", doc.render(Layout::Compact))
 }
 
 /// SARIF 2.1.0 through the shared emitter: one run, the FERAL rule
@@ -236,7 +213,7 @@ pub fn render_sarif(run: &CorpusRun) -> String {
             });
         }
     }
-    feral_cli::report::render_sarif(
+    feral_trace::sarif::render_sarif(
         "feral-lint",
         "DESIGN.md#7-static-analysis-feral-lint",
         &rules,

@@ -5,7 +5,7 @@
 //! feral-net loadbench [--smoke|--full] [--out PATH] ...        # BENCH_load.json
 //! ```
 
-use feral_audit::validate_audit_json;
+use feral_audit::AuditSnapshot;
 use feral_cli::{die, render_help, write_out, Args, EXIT_DEVIATION};
 use feral_db::{AuditMode, IsolationLevel, IsolationPlan};
 use feral_net::load::run_load;
@@ -155,17 +155,14 @@ fn run_ablation(
     let outcome = run_load(server.local_addr(), &cfg, make_template_request)?;
     server.shutdown();
     let anomalies = service.integrity_audit();
-    let (cycles, schema_ok, snapshot_json) = match service.db().audit_snapshot() {
+    let (cycles, schema_ok, audit) = match service.db().audit_snapshot() {
         Some(snap) => {
             let json = snap.to_json();
-            let schema_ok = match validate_audit_json(&json) {
-                Ok(_) => true,
-                Err(e) => {
-                    eprintln!("{TOOL}: {config}: audit snapshot failed schema validation: {e}");
-                    false
-                }
-            };
-            (snap.cycles, schema_ok, Some(json))
+            let decoded = AuditSnapshot::from_json(&json);
+            if let Err(e) = &decoded {
+                eprintln!("{TOOL}: {config}: audit snapshot failed schema validation: {e}");
+            }
+            (snap.cycles, decoded.is_ok(), Some(json))
         }
         None => (0, false, None),
     };
@@ -175,7 +172,7 @@ fn run_ablation(
         anomalies,
         cycles,
         schema_ok,
-        snapshot_json,
+        audit,
     })
 }
 
@@ -255,10 +252,7 @@ fn loadbench(args: &Args) -> ExitCode {
     write_out(TOOL, Some(path), &json);
     match verdict {
         Ok(summary) => {
-            println!(
-                "{TOOL} loadbench: all gates pass ({} cells over {} worker counts, {} ablation configs clean)",
-                summary.cells, summary.worker_counts, summary.ablation_configs
-            );
+            println!("{TOOL} loadbench: all gates pass ({summary})");
             ExitCode::SUCCESS
         }
         Err(e) => {

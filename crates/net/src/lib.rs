@@ -50,5 +50,5 @@ pub mod wire;
 pub use client::{call_with_retry, NetClient};
 pub use load::{Dist, LoadConfig, LoadOutcome};
 pub use planner::PlannedService;
-pub use report::{render_load_json, validate_load_report, AblationRow, GridRow, LoadSummary};
+pub use report::{render_load_json, validate_load_report, AblationRow, GridRow};
 pub use server::{Server, ServerConfig, ServerMetrics};

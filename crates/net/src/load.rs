@@ -112,10 +112,12 @@ pub struct LoadOutcome {
 }
 
 impl LoadOutcome {
-    /// Achieved throughput (answered requests per second).
+    /// Achieved throughput: application answers (successes and error
+    /// responses) per second. Load-shed replies are refusals, not
+    /// service, so they do not count.
     pub fn throughput(&self) -> f64 {
         if self.elapsed > 0.0 {
-            (self.completed + self.shed + self.errors) as f64 / self.elapsed
+            (self.completed + self.errors) as f64 / self.elapsed
         } else {
             0.0
         }
@@ -291,6 +293,20 @@ mod tests {
             let sum: u64 = (0..conns).map(|c| per_conn_requests(total, conns, c)).sum();
             assert_eq!(sum, total);
         }
+    }
+
+    #[test]
+    fn throughput_counts_answers_not_shed_replies() {
+        let outcome = LoadOutcome {
+            sent: 100,
+            completed: 60,
+            shed: 30,
+            errors: 10,
+            lost: 0,
+            elapsed: 2.0,
+            latency: HistogramSnapshot::empty(),
+        };
+        assert_eq!(outcome.throughput(), 35.0);
     }
 
     #[test]

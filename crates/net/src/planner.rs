@@ -27,6 +27,7 @@ use feral_orm::OrmError;
 use feral_plan::infer_pair_levels;
 use feral_sdg::matrix::PairKind;
 use feral_server::{Op, Request, Response, Service};
+use feral_trace::json::Json;
 use feral_workloads::WeightedChoice;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -355,12 +356,12 @@ impl Anomalies {
     }
 
     /// JSON object rendering.
-    pub fn json(self) -> String {
-        format!(
-            "{{\"duplicate_signups\": {}, \"orphaned_users\": {}, \
-             \"orphaned_comments\": {}, \"lost_deposits\": {}}}",
-            self.duplicate_signups, self.orphaned_users, self.orphaned_comments, self.lost_deposits
-        )
+    pub fn json(self) -> Json {
+        Json::obj()
+            .with("duplicate_signups", self.duplicate_signups)
+            .with("orphaned_users", self.orphaned_users)
+            .with("orphaned_comments", self.orphaned_comments)
+            .with("lost_deposits", self.lost_deposits)
     }
 }
 

@@ -12,9 +12,9 @@
 use crate::load::LoadOutcome;
 use crate::planner::Anomalies;
 use feral_trace::hist::QUANTILE_SENTINEL;
-use feral_trace::json::{escape, parse, Json};
-use feral_trace::report::escape_label;
-use std::fmt::Write as _;
+use feral_trace::json::{parse, Json, Layout, Node};
+use feral_trace::report::Prometheus;
+use std::collections::BTreeSet;
 
 /// One grid cell: an open-loop run at a worker count × distribution.
 pub struct GridRow {
@@ -44,20 +44,25 @@ pub struct AblationRow {
     pub anomalies: Anomalies,
     /// Dependency cycles the runtime DSG auditor observed.
     pub cycles: u64,
-    /// Whether the embedded audit snapshot passed its own schema
-    /// validator at render time.
+    /// Whether the embedded audit snapshot passed its own validating
+    /// decode at render time.
     pub schema_ok: bool,
-    /// The runtime auditor's JSON snapshot, when auditing was on.
-    pub snapshot_json: Option<String>,
+    /// The runtime auditor's snapshot, when auditing was on.
+    pub audit: Option<Json>,
 }
 
-fn quantiles_json(outcome: &LoadOutcome) -> String {
-    format!(
-        "\"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}",
-        outcome.latency.quantile(0.50),
-        outcome.latency.quantile(0.99),
-        outcome.latency.quantile(0.999)
-    )
+/// Append an outcome's reply accounting, throughput, and latency
+/// quantiles to a row.
+fn with_outcome(row: Json, o: &LoadOutcome) -> Json {
+    row.with("sent", o.sent)
+        .with("completed", o.completed)
+        .with("shed", o.shed)
+        .with("errors", o.errors)
+        .with("lost", o.lost)
+        .with("throughput", Json::Num(o.throughput(), 1))
+        .with("p50_ns", o.latency.quantile(0.50))
+        .with("p99_ns", o.latency.quantile(0.99))
+        .with("p999_ns", o.latency.quantile(0.999))
 }
 
 /// Render the full `BENCH_load.json` artifact.
@@ -68,73 +73,29 @@ pub fn render_load_json(
     grid: &[GridRow],
     ablation: &[AblationRow],
 ) -> String {
-    let mut out = String::from("{\n  \"bench\": \"load\",\n");
-    let _ = writeln!(out, "  \"mode\": \"{}\",", escape(mode));
-    let _ = writeln!(
-        out,
-        "  \"protocol\": {{\"version\": {}, \"max_frame\": {}}},",
-        crate::wire::VERSION,
-        crate::wire::MAX_FRAME
-    );
-    let _ = writeln!(
-        out,
-        "  \"backpressure\": {{\"queue\": {queue}, \"inflight_per_conn\": {inflight}}},"
-    );
-    out.push_str("  \"grid\": [\n");
-    for (i, r) in grid.iter().enumerate() {
-        let o = &r.outcome;
-        let _ = writeln!(
-            out,
-            "    {{\"workers\": {}, \"dist\": \"{}\", \"conns\": {}, \"sessions\": {}, \
-             \"target_rate\": {:.1}, \"think_us\": {}, \"sent\": {}, \"completed\": {}, \
-             \"shed\": {}, \"errors\": {}, \"lost\": {}, \"throughput\": {:.1}, {}}}{}",
-            r.workers,
-            r.dist,
-            r.conns,
-            r.sessions,
-            r.target_rate,
-            r.think_us,
-            o.sent,
-            o.completed,
-            o.shed,
-            o.errors,
-            o.lost,
-            o.throughput(),
-            quantiles_json(o),
-            if i + 1 < grid.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ],\n  \"ablation\": [\n");
-    for (i, r) in ablation.iter().enumerate() {
-        let o = &r.outcome;
-        let mut s = format!(
-            "    {{\"config\": \"{}\", \"sent\": {}, \"completed\": {}, \"shed\": {}, \
-             \"errors\": {}, \"lost\": {}, \"throughput\": {:.1}, {}, \"anomalies\": {}, \
-             \"cycles\": {}, \"schema_valid\": {}",
-            r.config,
-            o.sent,
-            o.completed,
-            o.shed,
-            o.errors,
-            o.lost,
-            o.throughput(),
-            quantiles_json(o),
-            r.anomalies.json(),
-            r.cycles,
-            r.schema_ok
-        );
-        match &r.snapshot_json {
-            // re-indent the embedded snapshot to this nesting depth
-            Some(json) => {
-                let _ = write!(s, ", \"audit\": {}", json.replace('\n', "\n    "));
-            }
-            None => s.push_str(", \"audit\": null"),
-        }
-        s.push('}');
-        let _ = writeln!(out, "{s}{}", if i + 1 < ablation.len() { "," } else { "" });
-    }
-    let worker_counts = distinct_workers(grid);
-    let dists = distinct_dists(grid);
+    let grid_rows = grid.iter().map(|r| {
+        let row = Json::obj()
+            .with("workers", r.workers)
+            .with("dist", r.dist)
+            .with("conns", r.conns)
+            .with("sessions", r.sessions)
+            .with("target_rate", Json::Num(r.target_rate, 1))
+            .with("think_us", r.think_us);
+        with_outcome(row, &r.outcome)
+    });
+    let ablation_rows = ablation.iter().map(|r| {
+        with_outcome(Json::obj().with("config", r.config), &r.outcome)
+            .with("anomalies", r.anomalies.json())
+            .with("cycles", r.cycles)
+            .with("schema_valid", r.schema_ok)
+            .with("audit", r.audit.clone())
+    });
+    let worker_counts = grid
+        .iter()
+        .map(|r| r.workers)
+        .collect::<BTreeSet<_>>()
+        .len();
+    let dists = grid.iter().map(|r| r.dist).collect::<BTreeSet<_>>().len();
     let accounted = grid
         .iter()
         .map(|r| &r.outcome)
@@ -144,136 +105,89 @@ pub fn render_load_json(
         .iter()
         .all(|r| r.anomalies.total() == 0 && r.cycles == 0);
     let schema = ablation.iter().all(|r| r.schema_ok);
-    let pass = worker_counts >= 3 && dists >= 2 && accounted && clean && schema;
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"gates\": {{\"worker_counts\": {worker_counts}, \"dists\": {dists}, \
-         \"replies_accounted\": {accounted}, \"ablation_clean\": {clean}, \
-         \"audit_schema\": {schema}, \"pass\": {pass}}}\n}}"
-    );
-    out
+    let gates = Json::obj()
+        .with("worker_counts", worker_counts)
+        .with("dists", dists)
+        .with("replies_accounted", accounted)
+        .with("ablation_clean", clean)
+        .with("audit_schema", schema)
+        .with(
+            "pass",
+            worker_counts >= 3 && dists >= 2 && accounted && clean && schema,
+        );
+    let doc = Json::obj()
+        .with("bench", "load")
+        .with("mode", mode)
+        .with(
+            "protocol",
+            Json::obj()
+                .with("version", crate::wire::VERSION)
+                .with("max_frame", crate::wire::MAX_FRAME),
+        )
+        .with(
+            "backpressure",
+            Json::obj()
+                .with("queue", queue)
+                .with("inflight_per_conn", inflight),
+        )
+        .with("grid", grid_rows.collect::<Json>())
+        .with("ablation", ablation_rows.collect::<Json>())
+        .with("gates", gates);
+    let framed = Layout::Framed {
+        compact_rows: false,
+    };
+    format!("{}\n", doc.render(framed))
 }
 
-fn distinct_workers(grid: &[GridRow]) -> usize {
-    let mut w: Vec<usize> = grid.iter().map(|r| r.workers).collect();
-    w.sort_unstable();
-    w.dedup();
-    w.len()
-}
-
-fn distinct_dists(grid: &[GridRow]) -> usize {
-    let mut d: Vec<&str> = grid.iter().map(|r| r.dist).collect();
-    d.sort_unstable();
-    d.dedup();
-    d.len()
-}
-
-/// What a passing load-report validation saw.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadSummary {
-    /// Grid cells in the artifact.
-    pub cells: usize,
-    /// Distinct worker counts across the grid.
-    pub worker_counts: usize,
-    /// Ablation configurations.
-    pub ablation_configs: usize,
-}
-
-fn require_u64(obj: &Json, key: &str, what: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{what}: missing numeric `{key}`"))
-}
-
-/// Schema-validate a `BENCH_load.json` text: envelope, a grid covering
-/// at least 3 worker counts under both distributions with ordered
+/// Validate a `BENCH_load.json` text: a grid covering at least 3
+/// worker counts under both distributions with ordered
 /// (sentinel-aware) latency quantiles and fully-accounted replies, and
 /// a planner + all-serializable ablation that committed work with zero
-/// integrity anomalies, zero observed DSG cycles, and a well-formed
-/// embedded audit snapshot.
-pub fn validate_load_report(text: &str) -> Result<LoadSummary, String> {
+/// integrity anomalies, zero observed DSG cycles, and an embedded
+/// audit snapshot that agrees. Returns a one-line summary of what
+/// passed.
+pub fn validate_load_report(text: &str) -> Result<String, String> {
     let doc = parse(text).map_err(|e| format!("unparseable JSON: {e}"))?;
-    if doc.get("bench").and_then(Json::as_str) != Some("load") {
+    let load = doc.node("load");
+    if load.get("bench")?.str()? != "load" {
         return Err("not a load report (bench != \"load\")".into());
     }
-    for key in [
-        "mode",
-        "protocol",
-        "backpressure",
-        "grid",
-        "ablation",
-        "gates",
-    ] {
-        if doc.get(key).is_none() {
-            return Err(format!("missing top-level `{key}`"));
-        }
-    }
-    let grid = doc
-        .get("grid")
-        .and_then(Json::as_arr)
-        .ok_or("grid is not an array")?;
+    let grid = load.get("grid")?.items()?;
     if grid.is_empty() {
-        return Err("empty grid".into());
+        return Err(load.error("empty grid"));
     }
-    let mut workers = Vec::new();
-    let mut dists = Vec::new();
-    for (i, cell) in grid.iter().enumerate() {
-        let what = format!("grid[{i}]");
-        let w = require_u64(cell, "workers", &what)?;
+    let mut workers = BTreeSet::new();
+    let mut dists = BTreeSet::new();
+    for cell in &grid {
+        let w = cell.get("workers")?.u64()?;
         if w == 0 {
-            return Err(format!("{what}: zero workers"));
+            return Err(cell.error("zero workers"));
         }
-        workers.push(w);
-        let dist = cell
-            .get("dist")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{what}: missing `dist`"))?;
-        if dist != "uniform" && dist != "zipfian" {
-            return Err(format!("{what}: unknown dist `{dist}`"));
+        workers.insert(w);
+        let dist = cell.get("dist")?;
+        let name = dist.str()?;
+        if name != "uniform" && name != "zipfian" {
+            return Err(dist.error(format_args!("unknown dist `{name}`")));
         }
-        dists.push(dist.to_string());
-        check_counters(cell, &what)?;
-        check_quantiles(cell, &what)?;
-        let completed = require_u64(cell, "completed", &what)?;
-        if completed == 0 {
-            return Err(format!("{what}: no request completed"));
-        }
+        dists.insert(name);
+        check_answered(cell)?;
     }
-    workers.sort_unstable();
-    workers.dedup();
     if workers.len() < 3 {
         return Err(format!(
             "grid covers {} worker count(s); need at least 3",
             workers.len()
         ));
     }
-    dists.sort();
-    dists.dedup();
     if dists.len() < 2 {
         return Err("grid must cover both uniform and zipfian arrivals".into());
     }
 
-    let ablation = doc
-        .get("ablation")
-        .and_then(Json::as_arr)
-        .ok_or("ablation is not an array")?;
-    let mut configs = Vec::new();
-    for (i, row) in ablation.iter().enumerate() {
-        let what = format!("ablation[{i}]");
-        let config = row
-            .get("config")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{what}: missing `config`"))?;
-        configs.push(config.to_string());
-        check_counters(row, &what)?;
-        check_quantiles(row, &what)?;
-        if require_u64(row, "completed", &what)? == 0 {
-            return Err(format!("{what} ({config}): no request completed"));
-        }
-        let anomalies = row
-            .get("anomalies")
-            .ok_or_else(|| format!("{what}: missing `anomalies`"))?;
+    let mut configs = BTreeSet::new();
+    for row in load.get("ablation")?.items()? {
+        let config = row.get("config")?.str()?;
+        configs.insert(config);
+        check_answered(&row)?;
+        let anomalies = row.get("anomalies")?;
         let mut total = 0u64;
         for family in [
             "duplicate_signups",
@@ -281,85 +195,74 @@ pub fn validate_load_report(text: &str) -> Result<LoadSummary, String> {
             "orphaned_comments",
             "lost_deposits",
         ] {
-            total += require_u64(anomalies, family, &format!("{what}.anomalies"))?;
+            total += anomalies.get(family)?.u64()?;
         }
         if total != 0 {
-            return Err(format!(
-                "{what} ({config}): {total} integrity anomalies under a certified-safe plan"
-            ));
+            return Err(row.error(format_args!(
+                "({config}) {total} integrity anomalies under a certified-safe plan"
+            )));
         }
-        if require_u64(row, "cycles", &what)? != 0 {
-            return Err(format!(
-                "{what} ({config}): runtime auditor observed cycles"
-            ));
+        if row.get("cycles")?.u64()? != 0 {
+            return Err(row.error(format_args!("({config}) runtime auditor observed cycles")));
         }
-        if row.get("schema_valid").and_then(Json::as_bool) != Some(true) {
-            return Err(format!(
-                "{what} ({config}): audit snapshot failed its schema"
-            ));
+        if !row.get("schema_valid")?.bool()? {
+            return Err(row.error(format_args!("({config}) audit snapshot failed its schema")));
         }
-        let audit = row
-            .get("audit")
-            .ok_or_else(|| format!("{what}: missing `audit`"))?;
-        if *audit == Json::Null {
-            return Err(format!("{what} ({config}): no embedded audit snapshot"));
+        let audit = row.get("audit")?;
+        if audit.is_null() {
+            return Err(row.error(format_args!("({config}) no embedded audit snapshot")));
         }
-        // the embedded snapshot must agree with the row's cycle count
-        let snap_cycles = require_u64(audit, "cycles", &format!("{what}.audit"))?;
+        let snap_cycles = audit.get("cycles")?.u64()?;
         if snap_cycles != 0 {
-            return Err(format!(
-                "{what} ({config}): embedded snapshot reports {snap_cycles} cycles"
-            ));
+            return Err(row.error(format_args!(
+                "({config}) embedded snapshot reports {snap_cycles} cycles"
+            )));
         }
     }
-    configs.sort();
     for need in ["all-serializable", "planner"] {
-        if !configs.iter().any(|c| c == need) {
+        if !configs.contains(need) {
             return Err(format!("ablation is missing the `{need}` configuration"));
         }
     }
-    if doc
-        .get("gates")
-        .and_then(|g| g.get("pass"))
-        .and_then(Json::as_bool)
-        != Some(true)
-    {
+    if !load.get("gates")?.get("pass")?.bool()? {
         return Err("gates.pass is not true".into());
     }
-    Ok(LoadSummary {
-        cells: grid.len(),
-        worker_counts: workers.len(),
-        ablation_configs: configs.len(),
-    })
+    Ok(format!(
+        "{} load cells over {} worker counts, {} ablation configs",
+        grid.len(),
+        workers.len(),
+        configs.len()
+    ))
 }
 
-fn check_counters(row: &Json, what: &str) -> Result<(), String> {
-    let sent = require_u64(row, "sent", what)?;
+/// Reply accounting (`completed + shed + errors + lost == sent`),
+/// ordered latency quantiles, and at least one completed request.
+fn check_answered(row: &Node) -> Result<(), String> {
+    let sent = row.get("sent")?.u64()?;
     let mut accounted = 0;
     for key in ["completed", "shed", "errors", "lost"] {
-        accounted += require_u64(row, key, what)?;
+        accounted += row.get(key)?.u64()?;
     }
     if accounted != sent {
-        return Err(format!(
-            "{what}: {accounted} replies accounted for {sent} sent requests"
-        ));
+        return Err(row.error(format_args!(
+            "{accounted} replies accounted for {sent} sent requests"
+        )));
     }
-    Ok(())
-}
-
-fn check_quantiles(row: &Json, what: &str) -> Result<(), String> {
-    let p50 = require_u64(row, "p50_ns", what)?;
-    let p99 = require_u64(row, "p99_ns", what)?;
-    let p999 = require_u64(row, "p999_ns", what)?;
+    let p50 = row.get("p50_ns")?.u64()?;
+    let p99 = row.get("p99_ns")?.u64()?;
+    let p999 = row.get("p999_ns")?.u64()?;
     // the sentinel marks an unresolvable quantile; ordering only binds
     // between resolved values
     for (a, b, label) in [(p50, p99, "p50 > p99"), (p99, p999, "p99 > p999")] {
         if a != QUANTILE_SENTINEL && b != QUANTILE_SENTINEL && a > b {
-            return Err(format!("{what}: unordered quantiles ({label})"));
+            return Err(row.error(format_args!("unordered quantiles ({label})")));
         }
     }
     if p50 == QUANTILE_SENTINEL && p99 == QUANTILE_SENTINEL && p999 == QUANTILE_SENTINEL {
-        return Err(format!("{what}: every latency quantile is the sentinel"));
+        return Err(row.error("every latency quantile is the sentinel"));
+    }
+    if row.get("completed")?.u64()? == 0 {
+        return Err(row.error("no request completed"));
     }
     Ok(())
 }
@@ -367,9 +270,12 @@ fn check_quantiles(row: &Json, what: &str) -> Result<(), String> {
 /// Prometheus text exposition of the load grid: throughput and latency
 /// quantiles per cell, labelled by worker count and distribution.
 pub fn render_prometheus(grid: &[GridRow]) -> String {
-    let mut out = String::new();
-    out.push_str("# HELP feralnet_requests_total Open-loop requests by disposition.\n");
-    out.push_str("# TYPE feralnet_requests_total counter\n");
+    let mut prom = Prometheus::default();
+    prom.family(
+        "feralnet_requests_total",
+        "counter",
+        "Open-loop requests by disposition.",
+    );
     for r in grid {
         let cell = format!("w{}-{}", r.workers, r.dist);
         for (disposition, v) in [
@@ -378,41 +284,25 @@ pub fn render_prometheus(grid: &[GridRow]) -> String {
             ("error", r.outcome.errors),
             ("lost", r.outcome.lost),
         ] {
-            let _ = writeln!(
-                out,
-                "feralnet_requests_total{{cell=\"{}\",disposition=\"{disposition}\"}} {v}",
-                escape_label(&cell)
-            );
+            let labels = [("cell", cell.as_str()), ("disposition", disposition)];
+            prom.sample("feralnet_requests_total", &labels, v);
         }
     }
-    out.push_str(
-        "# HELP feralnet_latency_nanos Scheduled-arrival to reply latency distribution.\n",
+    prom.family(
+        "feralnet_latency_nanos",
+        "summary",
+        "Scheduled-arrival to reply latency distribution.",
     );
-    out.push_str("# TYPE feralnet_latency_nanos summary\n");
     for r in grid {
         let cell = format!("w{}-{}", r.workers, r.dist);
-        for (q, label) in [(0.50, "0.5"), (0.99, "0.99"), (0.999, "0.999")] {
-            let _ = writeln!(
-                out,
-                "feralnet_latency_nanos{{cell=\"{}\",quantile=\"{label}\"}} {}",
-                escape_label(&cell),
-                r.outcome.latency.quantile(q)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "feralnet_latency_nanos_sum{{cell=\"{}\"}} {}",
-            escape_label(&cell),
-            r.outcome.latency.sum
-        );
-        let _ = writeln!(
-            out,
-            "feralnet_latency_nanos_count{{cell=\"{}\"}} {}",
-            escape_label(&cell),
-            r.outcome.latency.count
+        prom.summary(
+            "feralnet_latency_nanos",
+            &[("cell", &cell)],
+            &r.outcome.latency,
+            &[0.50, 0.99, 0.999],
         );
     }
-    out
+    prom.finish()
 }
 
 #[cfg(test)]
@@ -455,8 +345,15 @@ mod tests {
             anomalies: Anomalies::default(),
             cycles: 0,
             schema_ok: true,
-            snapshot_json: Some("{\"cycles\": 0}".to_string()),
+            audit: Some(Json::obj().with("cycles", 0u64)),
         }
+    }
+
+    /// A smoke-mode artifact; `ablation: None` is the clean
+    /// planner + all-serializable pair.
+    fn render(grid: &[GridRow], ablation: Option<Vec<AblationRow>>) -> String {
+        let clean = || vec![ablation_row("planner"), ablation_row("all-serializable")];
+        render_load_json("smoke", 64, 8, grid, &ablation.unwrap_or_else(clean))
     }
 
     fn full_grid() -> Vec<GridRow> {
@@ -471,59 +368,46 @@ mod tests {
 
     #[test]
     fn rendered_report_validates() {
-        let json = render_load_json(
-            "smoke",
-            64,
-            8,
-            &full_grid(),
-            &[ablation_row("planner"), ablation_row("all-serializable")],
-        );
+        let json = render(&full_grid(), None);
         let summary = validate_load_report(&json).expect("report validates");
-        assert_eq!(summary.cells, 6);
-        assert_eq!(summary.worker_counts, 3);
-        assert_eq!(summary.ablation_configs, 2);
+        assert_eq!(
+            summary,
+            "6 load cells over 3 worker counts, 2 ablation configs"
+        );
     }
 
     #[test]
     fn thin_grid_or_missing_config_fails() {
-        let thin = render_load_json(
-            "smoke",
-            64,
-            8,
-            &[grid_row(1, "uniform"), grid_row(2, "uniform")],
-            &[ablation_row("planner"), ablation_row("all-serializable")],
-        );
+        let thin = render(&[grid_row(1, "uniform"), grid_row(2, "uniform")], None);
         let err = validate_load_report(&thin).unwrap_err();
         assert!(err.contains("worker count"), "{err}");
 
-        let missing = render_load_json("smoke", 64, 8, &full_grid(), &[ablation_row("planner")]);
+        let missing = render(&full_grid(), Some(vec![ablation_row("planner")]));
         let err = validate_load_report(&missing).unwrap_err();
         assert!(err.contains("all-serializable"), "{err}");
+
+        // not a load report at all, or a failed writer-side verdict
+        assert!(validate_load_report("{\"bench\": \"other\"}").is_err());
+        let good = render(&full_grid(), None);
+        let err =
+            validate_load_report(&good.replace("\"pass\": true", "\"pass\": false")).unwrap_err();
+        assert!(err.contains("pass"), "{err}");
     }
 
     #[test]
     fn anomalies_or_cycles_fail_the_gate() {
         let mut dirty = ablation_row("planner");
         dirty.anomalies.lost_deposits = 3;
-        let json = render_load_json(
-            "smoke",
-            64,
-            8,
+        let json = render(
             &full_grid(),
-            &[dirty, ablation_row("all-serializable")],
+            Some(vec![dirty, ablation_row("all-serializable")]),
         );
         let err = validate_load_report(&json).unwrap_err();
         assert!(err.contains("anomalies"), "{err}");
 
         let mut cyclic = ablation_row("all-serializable");
         cyclic.cycles = 1;
-        let json = render_load_json(
-            "smoke",
-            64,
-            8,
-            &full_grid(),
-            &[ablation_row("planner"), cyclic],
-        );
+        let json = render(&full_grid(), Some(vec![ablation_row("planner"), cyclic]));
         let err = validate_load_report(&json).unwrap_err();
         assert!(err.contains("cycles"), "{err}");
     }
@@ -535,13 +419,7 @@ mod tests {
         row.outcome.sent = 101;
         let mut grid = full_grid();
         grid.push(row);
-        let json = render_load_json(
-            "smoke",
-            64,
-            8,
-            &grid,
-            &[ablation_row("planner"), ablation_row("all-serializable")],
-        );
+        let json = render(&grid, None);
         let err = validate_load_report(&json).unwrap_err();
         assert!(err.contains("accounted"), "{err}");
     }

@@ -5,7 +5,7 @@ use crate::certify::{describe_cell, CellCert};
 use crate::infer::{guard_str, level_str, Plan, PlanCell};
 use feral_db::IsolationLevel;
 use feral_sdg::LEVELS;
-use feral_trace::json::escape;
+use feral_trace::json::{Json, Layout};
 use std::fmt::Write as _;
 
 /// Human-readable plan: the per-level census, every cell, and each
@@ -57,116 +57,68 @@ pub fn render_text(plan: &Plan) -> String {
     out
 }
 
-fn json_levels(levels: [IsolationLevel; 2]) -> String {
-    format!(
-        "[\"{}\",\"{}\"]",
-        level_str(levels[0]),
-        level_str(levels[1])
-    )
+fn json_levels(levels: [IsolationLevel; 2]) -> Json {
+    levels.map(level_str).to_vec().into()
 }
 
-fn json_cell(cell: &PlanCell, cert: Option<&CellCert>) -> String {
-    let mut s = format!(
-        "{{\"pair\":\"{}\",\"guard\":\"{}\",\"levels\":{},\"gate\":\"{}\",\"escalated\":{}",
-        cell.pair.name(),
-        guard_str(cell.guard),
-        json_levels(cell.levels),
-        cell.gate.name(),
-        cell.escalated()
-    );
+fn json_cell(cell: &PlanCell, cert: Option<&CellCert>) -> Json {
+    let mut out = Json::obj()
+        .with("pair", cell.pair.name())
+        .with("guard", guard_str(cell.guard))
+        .with("levels", json_levels(cell.levels))
+        .with("gate", cell.gate.name())
+        .with("escalated", cell.escalated());
     if let Some(d) = cell.demoted() {
-        let _ = write!(s, ",\"witness_levels\":{}", json_levels(d));
+        out.push("witness_levels", json_levels(d));
     }
     if let Some(cert) = cert {
-        let _ = write!(
-            s,
-            ",\"certificate\":{{\"sweep\":{{\"runs\":{},\"complete\":true,\
-             \"schedules_pruned\":{},\"pruned_exact\":{},\"sleep_set_blocked\":{}}}",
-            cert.sweep.runs,
-            cert.sweep.schedules_pruned,
-            cert.sweep.pruned_exact,
-            cert.sweep.sleep_set_blocked
-        );
+        let mut certificate = Json::obj().with("sweep", cert.sweep.to_json());
         if let Some(w) = &cert.witness {
-            let choices: Vec<String> = w.choices.iter().map(usize::to_string).collect();
-            let seed = match w.seed {
-                Some(seed) => seed.to_string(),
-                None => "null".to_string(),
-            };
-            let _ = write!(
-                s,
-                ",\"witness\":{{\"strategy\":\"{}\",\"seed\":{},\"choices\":[{}],\
-                 \"message\":\"{}\",\"schedules_searched\":{},\"replay\":\"{}\"}}",
-                w.strategy,
-                seed,
-                choices.join(","),
-                escape(&w.message),
-                w.schedules_searched,
-                escape(&w.replay)
-            );
+            certificate.push("witness", w.to_json());
         }
-        s.push('}');
+        out.push("certificate", certificate);
     }
-    s.push('}');
-    s
+    out
 }
 
 /// The `BENCH_plan` JSON artifact. With certificates, every cell embeds
 /// its sweep receipt and (when escalated) its replaying witness.
 pub fn render_json(plan: &Plan, certs: Option<&[CellCert]>) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"tool\": \"feral-plan\",\n");
-    let _ = writeln!(out, "  \"corpus_seed\": {},", plan.corpus_seed);
     let total: usize = plan.apps.iter().map(|a| a.assignments.len()).sum();
-    let _ = writeln!(
-        out,
-        "  \"summary\": {{\"apps\": {}, \"assignments\": {}, \"cells\": {}, {}}},",
-        plan.apps.len(),
-        total,
-        plan.cells.len(),
-        LEVELS
-            .map(|l| format!("\"{}\": {}", level_str(l), plan.assignments_at(l)))
-            .join(", ")
-    );
-    out.push_str("  \"cells\": [\n");
-    for (i, cell) in plan.cells.iter().enumerate() {
-        let cert = certs.map(|cs| &cs[i]);
-        let comma = if i + 1 < plan.cells.len() { "," } else { "" };
-        let _ = writeln!(out, "    {}{comma}", json_cell(cell, cert));
+    let mut summary = Json::obj()
+        .with("apps", plan.apps.len())
+        .with("assignments", total)
+        .with("cells", plan.cells.len());
+    for level in LEVELS {
+        summary.push(&level_str(level), plan.assignments_at(level));
     }
-    out.push_str("  ],\n  \"apps\": [\n");
-    for (ai, app) in plan.apps.iter().enumerate() {
-        let mut s = format!(
-            "{{\"app\":\"{}\",\"transactions\":{},\"assignments\":[",
-            escape(&app.app),
-            app.transactions
-        );
-        for (i, a) in app.assignments.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let cell = match a.cell {
-                Some(i) => i.to_string(),
-                None => "null".to_string(),
-            };
-            let _ = write!(
-                s,
-                "{{\"template\":\"{}\",\"model\":\"{}\",\"file\":\"{}\",\
-                 \"level\":\"{}\",\"basis\":\"{}\",\"cell\":{}}}",
-                escape(&a.template.key()),
-                escape(&a.template.model),
-                escape(&a.template.file),
-                level_str(a.level),
-                a.basis.label(),
-                cell
-            );
-        }
-        s.push_str("]}");
-        let comma = if ai + 1 < plan.apps.len() { "," } else { "" };
-        let _ = writeln!(out, "    {s}{comma}");
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let cells = plan
+        .cells
+        .iter()
+        .enumerate()
+        .map(|(i, cell)| json_cell(cell, certs.map(|cs| &cs[i])));
+    let apps = plan.apps.iter().map(|app| {
+        let assignments = app.assignments.iter().map(|a| {
+            Json::obj()
+                .with("template", a.template.key())
+                .with("model", &a.template.model)
+                .with("file", &a.template.file)
+                .with("level", level_str(a.level))
+                .with("basis", a.basis.label())
+                .with("cell", a.cell)
+        });
+        Json::obj()
+            .with("app", &app.app)
+            .with("transactions", app.transactions)
+            .with("assignments", assignments.collect::<Json>())
+    });
+    let doc = Json::obj()
+        .with("tool", "feral-plan")
+        .with("corpus_seed", plan.corpus_seed)
+        .with("summary", summary)
+        .with("cells", cells.collect::<Json>())
+        .with("apps", apps.collect::<Json>());
+    format!("{}\n", doc.render(Layout::Framed { compact_rows: true }))
 }
 
 /// Graphviz dot view: one node per cell (colored by the strongest slot

@@ -1,10 +1,11 @@
 //! Rendering for `feral-racer check`: human text, the JSON acquisition
 //! inventory (the golden-diffed artifact), and SARIF 2.1.0 through the
-//! shared emitter in `feral_cli::report`.
+//! shared emitter in `feral_trace::sarif`.
 
 use crate::rules::{Finding, RULES};
 use crate::Analysis;
-use feral_cli::report::{json_escape, render_sarif, SarifResult, SarifRule};
+use feral_trace::json::{Json, Layout};
+use feral_trace::sarif::{render_sarif, SarifResult, SarifRule};
 
 /// Human-readable summary.
 pub fn render_text(a: &Analysis) -> String {
@@ -40,48 +41,37 @@ pub fn render_text(a: &Analysis) -> String {
 /// acquisition count, every edge with its witnesses, every finding.
 /// Deterministic field and element order — this is the golden artifact.
 pub fn render_inventory(a: &Analysis) -> String {
-    let mut classes: Vec<String> = Vec::new();
-    for (class, count) in a.class_counts() {
-        classes.push(format!(
-            "{{\"class\":\"{}\",\"acquisitions\":{}}}",
-            json_escape(&class),
-            count
-        ));
-    }
-    let mut edges: Vec<String> = Vec::new();
-    for ((from, to), meta) in &a.graph.edges {
-        let sites: Vec<String> = meta
-            .sites
-            .iter()
-            .map(|(f, l)| format!("\"{}:{}\"", json_escape(f), l))
-            .collect();
-        edges.push(format!(
-            "{{\"from\":\"{}\",\"to\":\"{}\",\"blocking\":{},\"sites\":[{}]}}",
-            json_escape(from),
-            json_escape(to),
-            meta.blocking,
-            sites.join(",")
-        ));
-    }
-    let findings: Vec<String> = a.findings.iter().map(finding_json).collect();
-    format!(
-        "{{\"tool\":\"feral-racer\",\"files\":{},\"functions\":{},\"classes\":[{}],\"edges\":[{}],\"findings\":[{}]}}\n",
-        a.files,
-        a.facts.len(),
-        classes.join(","),
-        edges.join(","),
-        findings.join(",")
-    )
+    let classes = a
+        .class_counts()
+        .into_iter()
+        .map(|(class, count)| Json::obj().with("class", class).with("acquisitions", count));
+    let edges = a.graph.edges.iter().map(|((from, to), meta)| {
+        let sites = meta.sites.iter().map(|(f, l)| format!("{f}:{l}"));
+        Json::obj()
+            .with("from", from)
+            .with("to", to)
+            .with("blocking", meta.blocking)
+            .with("sites", sites.collect::<Json>())
+    });
+    let doc = Json::obj()
+        .with("tool", "feral-racer")
+        .with("files", a.files)
+        .with("functions", a.facts.len())
+        .with("classes", classes.collect::<Json>())
+        .with("edges", edges.collect::<Json>())
+        .with(
+            "findings",
+            a.findings.iter().map(finding_json).collect::<Json>(),
+        );
+    format!("{}\n", doc.render(Layout::Compact))
 }
 
-fn finding_json(f: &Finding) -> String {
-    format!(
-        "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-        json_escape(f.rule),
-        json_escape(&f.file),
-        f.line,
-        json_escape(&f.message)
-    )
+fn finding_json(f: &Finding) -> Json {
+    Json::obj()
+        .with("rule", f.rule)
+        .with("file", &f.file)
+        .with("line", f.line)
+        .with("message", &f.message)
 }
 
 /// SARIF 2.1.0 through the shared emitter.

@@ -111,7 +111,7 @@ fn cmd_graph(args: &Args) -> ExitCode {
     };
     let isolation = args
         .get_str("isolation")
-        .map(|s| feral_cli::parse_isolation(TOOL, s))
+        .map(|s| feral_cli::parse_or_die(TOOL, "isolation", s))
         .unwrap_or(IsolationLevel::ReadCommitted);
     let cell = decide(pair, isolation);
     if args.has("dot") {

@@ -1,16 +1,13 @@
 //! Renderers: text matrix, per-cell graph dumps, Graphviz dot, and the
-//! `BENCH_sdg.json` machine-readable artifact (hand-rolled JSON — the
-//! vendored serde shim has no serializer).
+//! `BENCH_sdg.json` machine-readable artifact (built as a
+//! [`feral_trace::json::Json`] value, written compact).
 
 use crate::cycles::render_cycle;
 use crate::graph::DepGraph;
-use crate::matrix::{Cell, CellEvidence, PairKind, Verdict, LEVELS};
+use crate::matrix::{Cell, CellEvidence, PairKind, SimWitness, SweepEvidence, Verdict, LEVELS};
 use feral_sim::scenarios::{Guard, ScenarioSpec};
+use feral_trace::json::{Json, Layout};
 use std::fmt::Write as _;
-
-/// Shared JSON string escaper (re-exported so existing callers keep
-/// their `feral_sdg::report::json_escape` path).
-pub use feral_cli::report::json_escape;
 
 /// The `feral-sim systematic` invocation that probes a cell's scenario.
 pub fn probe_command(spec: &ScenarioSpec) -> String {
@@ -170,98 +167,79 @@ fn json_safety(s: feral_iconfluence::Safety) -> &'static str {
     }
 }
 
-fn json_templates(g: &DepGraph) -> String {
-    let mut parts = Vec::new();
-    for t in &g.templates {
-        let steps: Vec<String> = t
-            .steps
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"label\":\"{}\",\"access\":\"{}\"}}",
-                    json_escape(&s.label),
-                    json_escape(&s.access.to_string())
-                )
-            })
-            .collect();
-        parts.push(format!(
-            "{{\"name\":\"{}\",\"steps\":[{}]}}",
-            json_escape(&t.name),
-            steps.join(",")
-        ));
-    }
-    format!("[{}]", parts.join(","))
+fn json_templates(g: &DepGraph) -> Json {
+    g.templates
+        .iter()
+        .map(|t| {
+            let steps = t.steps.iter().map(|s| {
+                Json::obj()
+                    .with("label", &s.label)
+                    .with("access", s.access.to_string())
+            });
+            Json::obj()
+                .with("name", &t.name)
+                .with("steps", steps.collect::<Json>())
+        })
+        .collect()
 }
 
-fn json_cell(cell: &Cell, evidence: Option<&CellEvidence>) -> String {
+impl SimWitness {
+    /// The witness as it appears in the sdg and plan artifacts.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .with("strategy", self.strategy)
+            .with("seed", self.seed)
+            .with("choices", self.choices.clone())
+            .with("message", &self.message)
+            .with("schedules_searched", self.schedules_searched)
+            .with("replay", &self.replay)
+    }
+}
+
+impl SweepEvidence {
+    /// The sweep receipt as it appears in the sdg and plan artifacts.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .with("runs", self.runs)
+            .with("complete", true)
+            .with("schedules_pruned", self.schedules_pruned)
+            .with("pruned_exact", self.pruned_exact)
+            .with("sleep_set_blocked", self.sleep_set_blocked)
+    }
+}
+
+fn json_cell(cell: &Cell, evidence: Option<&CellEvidence>) -> Json {
     let g = &cell.graph;
     let (verdict, reason, cycle) = match &cell.verdict {
         Verdict::Unsafe { cycle } => {
-            let edges: Vec<String> = cycle
-                .iter()
-                .map(|e| {
-                    format!(
-                        "{{\"kind\":\"{}\",\"from\":\"{}\",\"to\":\"{}\",\"item\":\"{}\"}}",
-                        e.kind.label(),
-                        json_escape(&g.templates[e.from].name),
-                        json_escape(&g.templates[e.to].name),
-                        json_escape(&e.item)
-                    )
-                })
-                .collect();
-            (
-                "unsafe",
-                "null".to_string(),
-                format!("[{}]", edges.join(",")),
-            )
+            let edges = cycle.iter().map(|e| {
+                Json::obj()
+                    .with("kind", e.kind.label())
+                    .with("from", &g.templates[e.from].name)
+                    .with("to", &g.templates[e.to].name)
+                    .with("item", &e.item)
+            });
+            ("unsafe", Json::Null, edges.collect())
         }
-        Verdict::Safe { reason } => ("safe", format!("\"{}\"", reason.name()), "[]".to_string()),
+        Verdict::Safe { reason } => ("safe", reason.name().into(), Json::Arr(Vec::new())),
     };
-    let mut out = format!(
-        "{{\"pair\":\"{}\",\"isolation\":\"{}\",\"verdict\":\"{}\",\"reason\":{},\"cycle\":{},\
-         \"rw_overlaps\":{},\"ww_overlaps\":{},\"edges\":{},\"scenario\":\"{}\"",
-        cell.pair.name(),
-        cell.isolation,
-        verdict,
-        reason,
-        cycle,
-        g.rw_overlaps.len(),
-        g.ww_overlaps.len(),
-        g.edges.len(),
-        json_escape(&probe_command(&cell.scenario))
-    );
+    let mut out = Json::obj()
+        .with("pair", cell.pair.name())
+        .with("isolation", cell.isolation.to_string())
+        .with("verdict", verdict)
+        .with("reason", reason)
+        .with("cycle", cycle)
+        .with("rw_overlaps", g.rw_overlaps.len())
+        .with("ww_overlaps", g.ww_overlaps.len())
+        .with("edges", g.edges.len())
+        .with("scenario", probe_command(&cell.scenario));
     if let Some(evidence) = evidence {
-        out.push_str(",\"validation\":");
-        match evidence {
-            CellEvidence::Witness(w) => {
-                let seed = match w.seed {
-                    Some(s) => s.to_string(),
-                    None => "null".to_string(),
-                };
-                let choices: Vec<String> = w.choices.iter().map(|c| c.to_string()).collect();
-                let _ = write!(
-                    out,
-                    "{{\"witness\":{{\"strategy\":\"{}\",\"seed\":{},\"choices\":[{}],\
-                     \"message\":\"{}\",\"schedules_searched\":{},\"replay\":\"{}\"}}}}",
-                    w.strategy,
-                    seed,
-                    choices.join(","),
-                    json_escape(&w.message),
-                    w.schedules_searched,
-                    json_escape(&w.replay)
-                );
-            }
-            CellEvidence::Sweep(s) => {
-                let _ = write!(
-                    out,
-                    "{{\"sweep\":{{\"runs\":{},\"complete\":true,\"schedules_pruned\":{},\
-                     \"pruned_exact\":{},\"sleep_set_blocked\":{}}}}}",
-                    s.runs, s.schedules_pruned, s.pruned_exact, s.sleep_set_blocked
-                );
-            }
-        }
+        let validation = match evidence {
+            CellEvidence::Witness(w) => Json::obj().with("witness", w.to_json()),
+            CellEvidence::Sweep(s) => Json::obj().with("sweep", s.to_json()),
+        };
+        out.push("validation", validation);
     }
-    out.push('}');
     out
 }
 
@@ -269,43 +247,36 @@ fn json_cell(cell: &Cell, evidence: Option<&CellEvidence>) -> String {
 /// `evidence` the output is fully deterministic (the checked-in golden);
 /// with it, each cell gains a `validation` object.
 pub fn render_json(cells: &[Cell], evidence: Option<&[CellEvidence]>) -> String {
-    let mut out = String::from("{\"tool\":\"feral-sdg\",\"version\":1,");
-    let levels: Vec<String> = LEVELS.iter().map(|l| format!("\"{l}\"")).collect();
-    let _ = write!(out, "\"isolations\":[{}],", levels.join(","));
-    let mut pairs = Vec::new();
-    for pair in PairKind::all() {
+    let pairs = PairKind::all().into_iter().map(|pair| {
         let cell = cells.iter().find(|c| c.pair == pair).expect("full matrix");
-        pairs.push(format!(
-            "{{\"pair\":\"{}\",\"iconfluence\":{{\"validator\":\"{}\",\"mix\":\"{}\",\
-             \"safety\":\"{}\"}},\"templates\":{}}}",
-            pair.name(),
-            cell.iconfluence.kind,
-            json_mix(cell.iconfluence.mix),
-            json_safety(cell.iconfluence.safety),
-            json_templates(&cell.graph)
-        ));
-    }
-    let _ = write!(out, "\"pairs\":[{}],", pairs.join(","));
-    let cell_json: Vec<String> = cells
+        Json::obj()
+            .with("pair", pair.name())
+            .with(
+                "iconfluence",
+                Json::obj()
+                    .with("validator", cell.iconfluence.kind)
+                    .with("mix", json_mix(cell.iconfluence.mix))
+                    .with("safety", json_safety(cell.iconfluence.safety)),
+            )
+            .with("templates", json_templates(&cell.graph))
+    });
+    let cells = cells
         .iter()
         .enumerate()
-        .map(|(i, c)| json_cell(c, evidence.map(|e| &e[i])))
-        .collect();
-    let _ = write!(out, "\"cells\":[{}]}}", cell_json.join(","));
-    out.push('\n');
-    out
+        .map(|(i, c)| json_cell(c, evidence.map(|e| &e[i])));
+    let doc = Json::obj()
+        .with("tool", "feral-sdg")
+        .with("version", 1u64)
+        .with("isolations", LEVELS.map(|l| l.to_string()).to_vec())
+        .with("pairs", pairs.collect::<Json>())
+        .with("cells", cells.collect::<Json>());
+    format!("{}\n", doc.render(Layout::Compact))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matrix::build_matrix;
-
-    #[test]
-    fn json_escape_handles_quotes_and_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn json_artifact_is_deterministic_and_covers_every_cell() {

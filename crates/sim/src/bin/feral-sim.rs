@@ -77,10 +77,27 @@ fn strategy_arg(args: &Args, default: Strategy) -> Strategy {
     }
 }
 
+/// Parse a comma-separated pair of isolation-level names
+/// (`snapshot,serializable`), one level per template slot; the error
+/// is the usage message unless exactly two valid names are given.
+fn parse_levels(s: &str) -> Result<[IsolationLevel; 2], String> {
+    let parts: Vec<&str> = s.split(',').map(str::trim).collect();
+    let [l0, l1] = parts[..] else {
+        return Err(format!(
+            "--levels wants exactly two comma-separated levels, got `{s}`"
+        ));
+    };
+    let level = |l: &str| {
+        l.parse::<IsolationLevel>()
+            .map_err(|_| format!("unknown isolation `{l}`"))
+    };
+    Ok([level(l0)?, level(l1)?])
+}
+
 /// The optional `--levels L0,L1` pair for mixed-isolation runs.
 fn levels_arg(args: &Args) -> Option<[IsolationLevel; 2]> {
-    args.get_str("levels")
-        .map(|s| feral_cli::parse_levels(TOOL, s))
+    let s = args.get_str("levels")?;
+    Some(parse_levels(s).unwrap_or_else(|e| die(&e)))
 }
 
 fn scenario_cfg(args: &Args) -> ScenarioSpec {
@@ -105,7 +122,7 @@ fn scenario_cfg(args: &Args) -> ScenarioSpec {
             .expect("two levels"),
         None => args
             .get_str("isolation")
-            .map(|s| feral_cli::parse_isolation(TOOL, s))
+            .map(|s| feral_cli::parse_or_die(TOOL, "isolation", s))
             .unwrap_or(IsolationLevel::ReadCommitted),
     };
     ScenarioSpec {
@@ -388,5 +405,24 @@ fn main() -> ExitCode {
         ),
         "replay" => cmd_replay(scenario_cfg(&args), levels_arg(&args), &args),
         other => die(&format!("unknown command `{other}`")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn levels_parse_as_a_pair() {
+        assert_eq!(
+            parse_levels("snapshot, serializable"),
+            Ok([IsolationLevel::Snapshot, IsolationLevel::Serializable])
+        );
+        for bad in ["snapshot", "a,b,c"] {
+            let err = parse_levels(bad).unwrap_err();
+            assert!(err.contains("exactly two"), "{bad}: {err}");
+        }
+        let err = parse_levels("snapshot,bogus").unwrap_err();
+        assert_eq!(err, "unknown isolation `bogus`");
     }
 }

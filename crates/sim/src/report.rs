@@ -1,12 +1,13 @@
 //! Machine-readable JSON for `feral-sim` exploration outcomes.
 //!
-//! Hand-rolled, deterministic field order (same convention as the sdg
-//! and lint report modules): byte-identical output for identical
+//! Deterministic field order, written compact (same convention as the
+//! sdg and lint report modules): byte-identical output for identical
 //! explorations, so reports can be golden-tested and diffed in CI.
 
 use crate::scenarios::ScenarioSpec;
 use crate::scheduler::SearchStats;
 use crate::{DporExploration, SystematicExploration, Violation};
+use feral_trace::json::{Json, Layout};
 
 /// One exploration outcome, ready to serialize.
 #[derive(Debug)]
@@ -94,33 +95,25 @@ impl ExplorationReport {
 
     /// Serialize (stable field order, no trailing newline).
     pub fn to_json(&self) -> String {
-        let violation = match &self.violation {
-            None => "null".to_string(),
-            Some(v) => {
-                let choices: Vec<String> = v.choices.iter().map(|c| c.to_string()).collect();
-                format!(
-                    "{{\"message\":\"{}\",\"seed\":{},\"choices\":[{}],\"replay\":\"{}\"}}",
-                    json_escape(&v.message),
-                    v.seed.map_or("null".to_string(), |s| s.to_string()),
-                    choices.join(","),
-                    json_escape(&v.replay)
-                )
-            }
-        };
-        format!(
-            "{{\"tool\":\"feral-sim\",\"scenario\":\"{}\",\"strategy\":\"{}\",\"runs\":{},\"complete\":{},\"schedules_explored\":{},\"schedules_pruned\":{},\"pruned_exact\":{},\"sleep_set_blocked\":{},\"redundant_runs\":{},\"violation\":{}}}",
-            json_escape(&self.scenario),
-            self.strategy,
-            self.runs,
-            self.complete,
-            self.stats.schedules_explored,
-            self.stats.schedules_pruned,
-            self.stats.pruned_exact,
-            self.stats.sleep_set_blocked,
-            self.stats.redundant_runs,
-            violation
-        )
+        let violation = self.violation.as_ref().map(|v| {
+            Json::obj()
+                .with("message", &v.message)
+                .with("seed", v.seed)
+                .with("choices", v.choices.clone())
+                .with("replay", &v.replay)
+        });
+        Json::obj()
+            .with("tool", "feral-sim")
+            .with("scenario", &self.scenario)
+            .with("strategy", self.strategy)
+            .with("runs", self.runs)
+            .with("complete", self.complete)
+            .with("schedules_explored", self.stats.schedules_explored)
+            .with("schedules_pruned", self.stats.schedules_pruned)
+            .with("pruned_exact", self.stats.pruned_exact)
+            .with("sleep_set_blocked", self.stats.sleep_set_blocked)
+            .with("redundant_runs", self.stats.redundant_runs)
+            .with("violation", violation)
+            .render(Layout::Compact)
     }
 }
-
-pub(crate) use feral_cli::report::json_escape;

@@ -50,10 +50,11 @@ pub fn bucket_bounds(idx: usize) -> (u64, u64) {
 }
 
 /// A concurrent log-scale histogram. All operations are wait-free
-/// relaxed atomics; `record` is a handful of instructions.
+/// relaxed atomics; `record` is a handful of instructions. There is no
+/// separate count: a snapshot derives it from the buckets it copied,
+/// so a snapshot racing `record` or `reset` is still well-formed.
 pub struct Histogram {
     buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -66,7 +67,6 @@ impl Histogram {
     pub const fn new() -> Histogram {
         Histogram {
             buckets: [Self::ZERO; HIST_BUCKETS],
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -75,7 +75,6 @@ impl Histogram {
     /// Record one value.
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -88,7 +87,7 @@ impl Histogram {
         }
         HistogramSnapshot {
             buckets,
-            count: self.count.load(Ordering::Relaxed),
+            count: buckets.iter().sum(),
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }
@@ -99,7 +98,6 @@ impl Histogram {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
     }
@@ -362,6 +360,33 @@ mod tests {
         assert!(s2.quantile(0.99) <= s2.max);
         // The sentinel itself must survive the f64 JSON wire format.
         assert_eq!((QUANTILE_SENTINEL as f64) as u64, QUANTILE_SENTINEL);
+    }
+
+    /// Snapshots and resets racing `record` never see `count` disagree
+    /// with the buckets.
+    #[test]
+    fn snapshots_racing_record_and_reset_stay_well_formed() {
+        let h = Histogram::new();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (h, stop) = (&h, &stop);
+                s.spawn(move || {
+                    let mut v = t;
+                    while !stop.load(Ordering::Relaxed) {
+                        h.record(v % 100_000);
+                        v += 7;
+                    }
+                });
+            }
+            for i in 0..20_000 {
+                assert!(h.snapshot().well_formed(), "torn snapshot at iteration {i}");
+                if i % 16 == 0 {
+                    h.reset();
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub mod json;
 pub mod provenance;
 pub mod report;
 pub mod ring;
+pub mod sarif;
 
 pub use event::{fnv64, Event, EventKind, Phase, PHASES};
 pub use hist::{Histogram, HistogramSnapshot};

@@ -1,36 +1,10 @@
-//! Shared report emission for the analyzer catalogs.
-//!
-//! feral-lint (FERAL001–009), feral-sdg, and feral-racer
-//! (FERALRS001–006) all emit hand-rolled JSON and SARIF 2.1.0 — the
-//! vendored serde shim has no serializer — and each used to carry its
-//! own copy of the string escaper and the SARIF scaffolding. This
-//! module is the one emitter they share: [`json_escape`] for every
-//! dynamic string, and [`render_sarif`] for the fixed SARIF envelope
-//! (one run, rule metadata in `tool.driver.rules`, findings as
-//! `results` with physical locations). The schema test lives here too,
+//! The SARIF 2.1.0 envelope shared by the analyzer catalogs:
+//! feral-lint (FERAL001–009) and feral-racer (FERALRS001–006) both
+//! emit one run, rule metadata in `tool.driver.rules`, and findings as
+//! `results` with physical locations. The schema test lives here too,
 //! so a drive-by change to the envelope breaks one test, not three.
 
-use std::fmt::Write as _;
-
-/// Escape a string for embedding in a JSON literal (no surrounding
-/// quotes).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::json::{Json, Layout};
 
 /// Static metadata for one rule in a SARIF `tool.driver.rules` entry.
 #[derive(Debug, Clone, Copy)]
@@ -63,64 +37,58 @@ pub struct SarifResult<'a> {
     pub line: u64,
 }
 
-/// Render a complete SARIF 2.1.0 document: one run, the full rule
-/// catalog under `tool.driver`, one `result` per finding.
+/// Render a complete SARIF 2.1.0 document (compact, newline-terminated):
+/// one run, the full rule catalog under `tool.driver`, one `result` per
+/// finding.
 pub fn render_sarif(
     tool: &str,
     information_uri: &str,
     rules: &[SarifRule<'_>],
     results: &[SarifResult<'_>],
 ) -> String {
-    let rules_json: Vec<String> = rules
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"id\":\"{}\",\"name\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}},\"helpUri\":\"{}\",\"properties\":{{\"citation\":\"{}\"}}}}",
-                json_escape(r.id),
-                json_escape(r.name),
-                json_escape(r.summary),
-                json_escape(r.help_uri),
-                json_escape(r.citation)
+    let rules = rules.iter().map(|r| {
+        Json::obj()
+            .with("id", r.id)
+            .with("name", r.name)
+            .with("shortDescription", Json::obj().with("text", r.summary))
+            .with("helpUri", r.help_uri)
+            .with("properties", Json::obj().with("citation", r.citation))
+    });
+    let results = results.iter().map(|f| {
+        let mut location = Json::obj().with("artifactLocation", Json::obj().with("uri", &f.uri));
+        if f.line > 0 {
+            location.push("region", Json::obj().with("startLine", f.line));
+        }
+        Json::obj()
+            .with("ruleId", f.rule_id)
+            .with("level", f.level)
+            .with("message", Json::obj().with("text", &f.message))
+            .with(
+                "locations",
+                vec![Json::obj().with("physicalLocation", location)],
             )
-        })
-        .collect();
-    let results_json: Vec<String> = results
-        .iter()
-        .map(|f| {
-            let region = if f.line > 0 {
-                format!(",\"region\":{{\"startLine\":{}}}", f.line)
-            } else {
-                String::new()
-            };
-            format!(
-                "{{\"ruleId\":\"{}\",\"level\":\"{}\",\"message\":{{\"text\":\"{}\"}},\"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}}{}}}}}]}}",
-                json_escape(f.rule_id),
-                json_escape(f.level),
-                json_escape(&f.message),
-                json_escape(&f.uri),
-                region
-            )
-        })
-        .collect();
-    format!(
-        "{{\"$schema\":\"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\"version\":\"2.1.0\",\"runs\":[{{\"tool\":{{\"driver\":{{\"name\":\"{}\",\"informationUri\":\"{}\",\"rules\":[{}]}}}},\"results\":[{}]}}]}}\n",
-        json_escape(tool),
-        json_escape(information_uri),
-        rules_json.join(","),
-        results_json.join(",")
-    )
+    });
+    let driver = Json::obj()
+        .with("name", tool)
+        .with("informationUri", information_uri)
+        .with("rules", rules.collect::<Json>());
+    let run = Json::obj()
+        .with("tool", Json::obj().with("driver", driver))
+        .with("results", results.collect::<Json>());
+    let doc = Json::obj()
+        .with(
+            "$schema",
+            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json",
+        )
+        .with("version", "2.1.0")
+        .with("runs", vec![run]);
+    format!("{}\n", doc.render(Layout::Compact))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use feral_trace::json::{parse, Json};
-
-    #[test]
-    fn escaping_covers_quotes_and_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
+    use crate::json::{parse, Json};
 
     /// The one shared SARIF schema test: the envelope parses, the
     /// driver is fully described, every result names a declared rule,
